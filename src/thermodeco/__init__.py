@@ -44,7 +44,14 @@ from .langevin import (
     step_euler_maruyama,
     step_exact_ou,
 )
-from .stats import AcfEstimate, EnsembleStats, autocorrelation, fit_exponential_rate, sample_variance
+from .stats import (
+    AcfEstimate,
+    EnsembleStats,
+    autocorrelation,
+    fit_exponential_rate,
+    sample_variance,
+    variance_stderr_correlated,
+)
 from .fieldspace import (
     SpectralField,
     from_modes,

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -48,7 +49,12 @@ from .medium import (
     equilibrium_mode_variance,
     relaxation_rate,
 )
-from .stats import autocorrelation, fit_exponential_rate, sample_variance
+from .stats import (
+    autocorrelation,
+    fit_exponential_rate,
+    sample_variance,
+    variance_stderr_correlated,
+)
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -155,15 +161,57 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown format {cfg.format!r}")
     if cfg.workers < 1 or cfg.n_traj < 1 or cfg.n_fields < 1:
         raise ConfigError("workers, n_traj and n_fields must be >= 1")
+    for f in fields(RunConfig):
+        val = getattr(cfg, f.name)
+        for v in val if isinstance(val, list) else [val]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
+    ks = wavenumbers(cfg)
+    if ks and min(ks) < 0:
+        raise ConfigError(f"wavenumbers must be non-negative, got {min(ks):g}")
+    if args.command in ("simulate", "fdr-verify"):
+        _check_run(cfg, ks, args.command == "fdr-verify")
+    elif args.command == "deco-scan" and len(set(ks)) < len(ks):
+        dup = next(k for k, count in Counter(ks).items() if count > 1)
+        raise ConfigError(f"duplicate wavenumber {dup:g} in the scan")
     return cfg
 
 
-def mode_set(cfg: RunConfig) -> list[ModeSpec]:
+def _check_run(cfg: RunConfig, ks: list[float], after_burn_in: bool):
+    """Time-grid and stability constraints of a simulated run.
+
+    ``after_burn_in`` also requires every damped mode to keep at least two
+    samples after its burn-in, as the stationary-variance check needs.
+    """
+    params = medium(cfg)
+    n_samples = sim_config(cfg).n_steps + 1
+    for k in ks:
+        gamma = relaxation_rate(params, k)
+        # the Euler-Maruyama recursion multiplies by 1 - gamma dt per step
+        if cfg.method == METHOD_EULER and gamma > 0 and abs(1.0 - gamma * cfg.dt) >= 1.0:
+            raise ConfigError(f"euler-maruyama is unstable at k={k:g}: gamma*dt = "
+                              f"{gamma * cfg.dt:g} >= 2; lower dt or use {METHOD_EXACT}")
+        if after_burn_in and gamma > 0:
+            n_burn = _burn_in_steps(cfg, gamma)
+            if n_samples - n_burn < 2:
+                raise ConfigError(f"t_end too short at k={k:g}: {n_samples} samples, "
+                                  f"{n_burn} of them burn-in; need 2 after burn-in")
+
+
+def wavenumbers(cfg: RunConfig) -> list[float]:
+    """The mode set: the explicit k_list, else the uniform grid."""
     if cfg.k_list:
-        ks = list(cfg.k_list)
-    else:
-        ks = [cfg.k_min + i * cfg.dk for i in range(cfg.k_count)]
-    return [ModeSpec(k=k, weight=1.0) for k in ks]
+        return list(cfg.k_list)
+    return [cfg.k_min + i * cfg.dk for i in range(cfg.k_count)]
+
+
+def mode_set(cfg: RunConfig) -> list[ModeSpec]:
+    return [ModeSpec(k=k, weight=1.0) for k in wavenumbers(cfg)]
+
+
+def sim_config(cfg: RunConfig) -> SimConfig:
+    return SimConfig(dt=cfg.dt, t_end=cfg.t_end, method=cfg.method, seed=cfg.seed,
+                     initial=cfg.initial, noise_scale=cfg.noise_scale)
 
 
 def medium(cfg: RunConfig) -> MediumParams:
@@ -235,17 +283,6 @@ def _burn_in_steps(cfg: RunConfig, gamma: float) -> int:
     return max(int(math.ceil(burn_t / cfg.dt)), 0)
 
 
-def _variance_stderr_correlated(variance: float, n: int, gamma: float, dt: float) -> float:
-    """Standard error of the sample variance of consecutive OU samples.
-
-    The squared-fluctuation series has step correlation r = e^(-2 gamma dt),
-    giving effective sample size n (1-r)/(1+r).
-    """
-    r = math.exp(-2.0 * gamma * dt) if gamma > 0 else 1.0
-    n_eff = max(n * (1.0 - r) / (1.0 + r), 2.0)
-    return variance * math.sqrt(2.0 / n_eff)
-
-
 def _mode_summary(params: MediumParams, cfg: RunConfig, spec: ModeSpec, trajs: list[ModeHistory]) -> dict:
     gamma = relaxation_rate(params, spec.k)
     n_burn = _burn_in_steps(cfg, gamma)
@@ -261,7 +298,7 @@ def _mode_summary(params: MediumParams, cfg: RunConfig, spec: ModeSpec, trajs: l
     if post.size >= 2:
         st = sample_variance(post)
         entry["sample_variance"] = st.variance
-        entry["stderr_variance"] = _variance_stderr_correlated(st.variance, st.n, gamma, cfg.dt)
+        entry["stderr_variance"] = variance_stderr_correlated(st.variance, st.n, gamma, cfg.dt)
         entry["sample_mean"] = st.mean
     try:
         acf = autocorrelation(trajs[0], min(cfg.max_lag, len(trajs[0]) - 1))
@@ -274,8 +311,7 @@ def _mode_summary(params: MediumParams, cfg: RunConfig, spec: ModeSpec, trajs: l
 def cmd_simulate(cfg: RunConfig) -> int:
     params = medium(cfg)
     modes = mode_set(cfg)
-    sim = SimConfig(dt=cfg.dt, t_end=cfg.t_end, method=cfg.method, seed=cfg.seed,
-                    initial=cfg.initial, noise_scale=cfg.noise_scale)
+    sim = sim_config(cfg)
     ensemble = simulate_ensemble(params, modes, cfg.n_traj, sim, n_workers=cfg.workers)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -292,8 +328,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_fdr_verify(cfg: RunConfig) -> int:
     params = medium(cfg)
     modes = mode_set(cfg)
-    sim = SimConfig(dt=cfg.dt, t_end=cfg.t_end, method=cfg.method, seed=cfg.seed,
-                    initial=cfg.initial, noise_scale=cfg.noise_scale)
+    sim = sim_config(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     report = []
@@ -308,7 +343,7 @@ def cmd_fdr_verify(cfg: RunConfig) -> int:
         post = hist.values[n_burn:]
         st = sample_variance(post)
         expected = equilibrium_mode_variance(params)
-        stderr = _variance_stderr_correlated(expected, st.n, gamma, cfg.dt)
+        stderr = variance_stderr_correlated(expected, st.n, gamma, cfg.dt)
         var_pass = abs(st.variance - expected) <= 3.0 * stderr
         entry = {
             "k": spec.k,
@@ -339,7 +374,7 @@ def cmd_fdr_verify(cfg: RunConfig) -> int:
 
 def cmd_deco_scan(cfg: RunConfig) -> int:
     params = medium(cfg)
-    ks = [spec.k for spec in mode_set(cfg)]
+    ks = wavenumbers(cfg)
     rows = decoherence_scan(params, ks, cfg.amplitude, cfg.duration, n_steps=cfg.scan_steps)
     exponents = [r[1] for r in rows]
     for prev, nxt in zip(exponents, exponents[1:]):

@@ -6,6 +6,7 @@ decay-rate fits used to recover gamma_k from simulated data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,23 @@ def sample_variance(values) -> EnsembleStats:
     )
 
 
+def variance_stderr_correlated(variance: float, n: int, gamma: float, dt: float) -> float:
+    """Standard error of the sample variance of consecutive OU samples.
+
+    The squared-fluctuation series has step correlation r = e^(-2 gamma dt),
+    giving effective sample size n (1-r)/(1+r).
+    """
+    r = math.exp(-2.0 * gamma * dt) if gamma > 0 else 1.0
+    n_eff = max(n * (1.0 - r) / (1.0 + r), 2.0)
+    return variance * math.sqrt(2.0 / n_eff)
+
+
+# Bounds on the block length of the lag-sum evaluation: short blocks make
+# thin, slow matrix products, long ones cost block^2 memory per product.
+_MIN_BLOCK = 16
+_MAX_BLOCK = 512
+
+
 def autocorrelation(history: ModeHistory, max_lag: int) -> AcfEstimate:
     """Biased (divide-by-N) normalized autocorrelation of a zero-mean history.
 
@@ -59,6 +77,16 @@ def autocorrelation(history: ModeHistory, max_lag: int) -> AcfEstimate:
     raw moments makes a pure exponential decay its own autocorrelation.
     The 1/N normalization keeps the estimated sequence positive
     semidefinite at the cost of a (N-l)/N bias factor.
+
+    The lag sums come from matrix products rather than one dot product per
+    lag: the history is viewed as rows of B consecutive samples
+    (B = max_lag, clamped to [16, 512]), and the product of the row block
+    with itself and with the rows shifted by 1, 2, ... blocks holds every
+    pair x_n x_{n+l} of the blocked samples, lag l on the l-th diagonal.
+    The pairs whose later sample falls in the final partial row are added
+    with direct dot products.  With max_lag <= 512 this is two BLAS
+    products and no buffer larger than B x B; the sums agree with the
+    per-lag dot products to rounding.
     """
     x = history.values
     n = x.size
@@ -69,9 +97,37 @@ def autocorrelation(history: ModeHistory, max_lag: int) -> AcfEstimate:
         raise InsufficientDataError("history is identically zero; ACF undefined")
     vals = np.empty(max_lag + 1)
     vals[0] = 1.0
-    for lag in range(1, max_lag + 1):
-        vals[lag] = float(np.dot(x[:-lag], x[lag:])) / n / c0
+    if max_lag:
+        vals[1:] = _lag_sums(x, max_lag) / n / c0
     return AcfEstimate(lags=np.arange(max_lag + 1) * history.dt, values=vals)
+
+
+def _lag_sums(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_n x_n x_{n+l} for l = 1..max_lag."""
+    n = x.size
+    block = min(max(max_lag, _MIN_BLOCK), _MAX_BLOCK)
+    reach = -(-max_lag // block)  # blocks ahead the longest lag reaches
+    rows = n // block
+    if rows <= reach:
+        rows = 0  # too short to block: direct dot products only
+    # sums[l + block - 1] accumulates lag l; block products also fill
+    # negative lags and lags past max_lag, which are dropped
+    sums = np.zeros((reach + 2) * block)
+    if rows:
+        m = x[: rows * block].reshape(rows, block)
+        offset = np.arange(block) - np.arange(block)[:, None] + block - 1
+        for j in range(reach + 1):
+            # entry (a, c) pairs offset a of row r with offset c of row r + j
+            g = m[: rows - j].T @ m[j:]
+            sums[j * block : (j + 2) * block - 1] += np.bincount(
+                offset.ravel(), weights=g.ravel(), minlength=2 * block - 1)
+    out = sums[block : block + max_lag]
+    # pairs whose later sample lies past the blocked rows
+    end = rows * block
+    if end < n:
+        for lag in range(1, max_lag + 1):
+            out[lag - 1] += np.dot(x[max(end - lag, 0) : n - lag], x[max(end, lag) :])
+    return out
 
 
 def fit_exponential_rate(

@@ -39,6 +39,21 @@ def test_bad_flag_exits_2():
     assert main(["simulate", "--dt", "not-a-number"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "1", "--dt", "0"],
+    ["simulate", "--k", "-1"],
+    ["simulate", "--k", "inf"],
+    ["simulate", "--k", "100", "--method", "euler-maruyama", "--t-end", "1"],
+    ["fdr-verify", "--k", "1", "--dt", "0.01", "--t-end", "0.02"],
+])
+def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_file_with_comments_and_overrides(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(
@@ -145,11 +160,11 @@ def test_deco_scan_conserved_row(tmp_path):
     assert rows[0][3] == "true"
 
 
-def test_deco_scan_monotonicity_violation_exits_4(tmp_path):
-    # duplicate k gives equal exponents: internal-consistency failure
+def test_deco_scan_duplicate_k_exits_2(tmp_path, capsys):
     rc = main(["deco-scan", "--k", "1,1", "--amplitude", "0.1", "--duration", "10",
                "--out", str(tmp_path / "o")])
-    assert rc == 4
+    assert rc == 2
+    assert "duplicate wavenumber" in capsys.readouterr().err
 
 
 def test_json_format_tables(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermodeco import (
     AcfEstimate,
@@ -14,6 +16,7 @@ from thermodeco import (
     relaxation_rate,
     sample_variance,
     simulate_mode,
+    variance_stderr_correlated,
 )
 
 UNIT = MediumParams(T0=1.0, c0=1.0, D0=1.0)
@@ -42,6 +45,60 @@ def test_sample_variance_scale_equivariant():
     base = sample_variance(x).variance
     for lam in (0.1, 3.0, -2.0):
         assert sample_variance(lam * x).variance == pytest.approx(lam ** 2 * base, rel=1e-12)
+
+
+def test_variance_stderr_correlated():
+    # r = e^(-2 gamma dt) = 1/3 gives n_eff = n / 2
+    n, gamma, dt = 1000, 0.5 * math.log(3.0), 1.0
+    assert variance_stderr_correlated(2.0, n, gamma, dt) == pytest.approx(
+        2.0 * math.sqrt(2.0 / (n / 2)), rel=1e-14)
+    # a conserved mode (or fully correlated samples) floors n_eff at 2
+    assert variance_stderr_correlated(2.0, n, 0.0, dt) == 2.0
+
+
+def _acf_per_lag(x, max_lag):
+    """Reference ACF: one dot product per lag."""
+    n = x.size
+    c0 = float(np.dot(x, x)) / n
+    vals = np.empty(max_lag + 1)
+    vals[0] = 1.0
+    for lag in range(1, max_lag + 1):
+        vals[lag] = float(np.dot(x[:-lag], x[lag:])) / n / c0
+    return vals
+
+
+@st.composite
+def _acf_case(draw):
+    """(n, max_lag) pairs weighted to the block and tail boundaries."""
+    kind = draw(st.sampled_from(["zero", "one", "last", "short", "multiple", "any"]))
+    if kind == "multiple":  # n a multiple of max_lag, or one more or less
+        lag = draw(st.integers(1, 2500))
+        n = draw(st.integers(1, 5000 // lag)) * lag + draw(st.sampled_from([-1, 0, 1]))
+    else:
+        n = draw(st.integers(1, 5000))
+        low = {"zero": 0, "one": 1, "last": n - 1, "short": n // 2 + 1, "any": 0}[kind]
+        high = {"zero": 0, "one": 1}.get(kind, n - 1)
+        lag = draw(st.integers(min(low, high), high))
+    n = max(n, 1)
+    return n, min(lag, n - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_acf_case(), seed=st.integers(0, 2**32 - 1), mean=st.sampled_from([0.0, 3.0]))
+def test_acf_matches_per_lag_dot_products(case, seed, mean):
+    n, max_lag = case
+    x = np.random.default_rng(seed).normal(mean, 1.0, size=n)
+    acf = autocorrelation(ModeHistory(1.0, 0.1, x), max_lag)
+    ref = _acf_per_lag(x, max_lag)
+    assert acf.values[0] == 1.0
+    assert np.max(np.abs(acf.values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, max_lag", [(5000, 1300), (4096, 512), (4097, 513), (1023, 511), (33, 16), (31, 15)])
+def test_acf_block_boundaries(n, max_lag):
+    x = np.random.default_rng(n).normal(size=n)
+    acf = autocorrelation(ModeHistory(1.0, 0.1, x), max_lag)
+    assert np.max(np.abs(acf.values - _acf_per_lag(x, max_lag))) <= 1e-12
 
 
 def test_acf_constant_history():
