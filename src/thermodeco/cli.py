@@ -7,8 +7,10 @@ Subcommands
     field-sample  equilibrium lattice sampling with energy-fluctuation checks
 
 Configuration is a plain-text key=value file (# comments); command-line
-flags override file values.  The fully resolved config and version string
-are embedded in every output file.  Exit codes: 0 pass, 1 statistical
+flags override file values.  Every RunConfig key has a flag of the same
+name with _ written as - (k_list is --k); the key's annotation picks the
+parser of both.  The fully resolved config and version string are
+embedded in every output file.  Exit codes: 0 pass, 1 statistical
 failure, 2 config error, 3 I/O failure, 4 internal consistency violation.
 """
 
@@ -19,7 +21,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,7 @@ from .langevin import (
     ModeHistory,
     NoiseStream,
     SimConfig,
+    _step_coefficients,
     simulate_ensemble,
 )
 from .medium import (
@@ -47,9 +50,12 @@ from .medium import (
     MediumParams,
     ModeSpec,
     equilibrium_mode_variance,
+    noise_strength,
     relaxation_rate,
 )
 from .stats import (
+    FIT_THRESHOLD,
+    MIN_FIT_LAGS,
     autocorrelation,
     fit_exponential_rate,
     sample_variance,
@@ -105,25 +111,23 @@ class RunConfig:
     workers: int = 1
 
 
-_BOOLS = {"true": True, "false": False, "1": True, "0": False}
+# one parser per RunConfig annotation, for config-file values and flags alike
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "list": lambda raw: [float(x) for x in raw.split(",") if x.strip() != ""],
+    "float | None": lambda raw: None if raw.strip().lower() in ("", "none", "auto") else float(raw),
+    "float | str": lambda raw: raw if raw == SAMPLE_EQUILIBRIUM else float(raw),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _parse_value(name: str, raw: str):
-    raw = raw.strip()
-    ftypes = {f.name: f for f in fields(RunConfig)}
-    if name not in ftypes:
-        raise ConfigError(f"unknown config key {name!r}")
-    if name == "k_list":
-        return [float(x) for x in raw.split(",") if x.strip() != ""]
-    if name == "initial":
-        return raw if raw == SAMPLE_EQUILIBRIUM else float(raw)
-    if name == "burn_in":
-        return None if raw.lower() in ("", "none", "auto") else float(raw)
-    if name in ("d", "k_count", "n_traj", "scan_steps", "lattice_n", "n_fields", "seed", "workers", "max_lag"):
-        return int(raw)
-    if name in ("method", "out", "format"):
-        return raw
-    return float(raw)
+def _parse(key: str, raw: str, where: str):
+    try:
+        return _PARSERS[_FIELD_TYPES[key]](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
 def load_config_file(path: str) -> dict:
@@ -137,65 +141,83 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        try:
-            values[key] = _parse_value(key, raw)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = _parse(key, raw.strip(), f"{path}:{lineno}")
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        for key, val in load_config_file(args.config).items():
-            setattr(cfg, key, val)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            setattr(cfg, f.name, flag)
+    values = load_config_file(args.config) if args.config else {}
+    values.update((key, _parse(key, raw, "command line"))
+                  for key, raw in vars(args).items() if key in _FIELD_TYPES)
+    cfg = RunConfig(**values)
     if cfg.method not in (METHOD_EXACT, METHOD_EULER):
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.format!r}")
-    if cfg.workers < 1 or cfg.n_traj < 1 or cfg.n_fields < 1:
-        raise ConfigError("workers, n_traj and n_fields must be >= 1")
-    for f in fields(RunConfig):
-        val = getattr(cfg, f.name)
+    if cfg.workers < 1 or cfg.n_traj < 1:
+        raise ConfigError("workers and n_traj must be >= 1")
+    for name, val in vars(cfg).items():
         for v in val if isinstance(val, list) else [val]:
             if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{f.name} must be finite, got {v}")
+                raise ConfigError(f"{name} must be finite, got {v}")
+    params = medium(cfg)
     ks = wavenumbers(cfg)
     if ks and min(ks) < 0:
         raise ConfigError(f"wavenumbers must be non-negative, got {min(ks):g}")
     if args.command in ("simulate", "fdr-verify"):
-        _check_run(cfg, ks, args.command == "fdr-verify")
-    elif args.command == "deco-scan" and len(set(ks)) < len(ks):
-        dup = next(k for k, count in Counter(ks).items() if count > 1)
-        raise ConfigError(f"duplicate wavenumber {dup:g} in the scan")
+        _check_run(cfg, params, ks, args.command == "fdr-verify")
+    elif args.command == "deco-scan":
+        if not (cfg.amplitude > 0 and cfg.duration > 0 and cfg.scan_steps >= 1):
+            raise ConfigError("amplitude and duration must be positive, scan_steps >= 1")
+        if len(set(ks)) < len(ks):
+            dup = next(k for k, count in Counter(ks).items() if count > 1)
+            raise ConfigError(f"duplicate wavenumber {dup:g} in the scan")
+    elif args.command == "field-sample":
+        if cfg.n_fields < 2:
+            raise ConfigError("n_fields must be >= 2")
+        lattice_template(cfg)  # LatticeField checks lattice_n and lattice_a
     return cfg
 
 
-def _check_run(cfg: RunConfig, ks: list[float], after_burn_in: bool):
-    """Time-grid and stability constraints of a simulated run.
+def _finite(what: str, compute):
+    """A quantity derived from the config; a ConfigError if it overflows."""
+    try:
+        if math.isfinite(value := compute()):
+            return value
+    except OverflowError:
+        pass
+    raise ConfigError(f"{what} overflows")
 
-    ``after_burn_in`` also requires every damped mode to keep at least two
-    samples after its burn-in, as the stationary-variance check needs.
+
+def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool):
+    """Time-grid, overflow and stability constraints of a simulated run.
+
+    ``fdr`` also requires what the fdr-verify rate fit needs of every damped
+    mode: MIN_FIT_LAGS ACF lags after burn-in within max_lag, the expected
+    ACF above FIT_THRESHOLD at the last of them.
     """
-    params = medium(cfg)
-    n_samples = sim_config(cfg).n_steps + 1
+    n_samples = _finite("number of steps t_end/dt", lambda: sim_config(cfg).n_steps) + 1
+    _finite("equilibrium variance T0^2/c0", lambda: equilibrium_mode_variance(params))
     for k in ks:
+        _finite(f"noise strength at k={k:g}", lambda: noise_strength(params, k))
         gamma = relaxation_rate(params, k)
-        # the Euler-Maruyama recursion multiplies by 1 - gamma dt per step
-        if cfg.method == METHOD_EULER and gamma > 0 and abs(1.0 - gamma * cfg.dt) >= 1.0:
+        alpha, _ = _step_coefficients(params, k, cfg.method, cfg.dt, cfg.noise_scale)
+        # each step multiplies by alpha, 1 - gamma dt for Euler-Maruyama
+        if cfg.method == METHOD_EULER and gamma > 0 and abs(alpha) >= 1.0:
             raise ConfigError(f"euler-maruyama is unstable at k={k:g}: gamma*dt = "
                               f"{gamma * cfg.dt:g} >= 2; lower dt or use {METHOD_EXACT}")
-        if after_burn_in and gamma > 0:
+        if fdr and gamma > 0:
             n_burn = _burn_in_steps(cfg, gamma)
-            if n_samples - n_burn < 2:
-                raise ConfigError(f"t_end too short at k={k:g}: {n_samples} samples, "
-                                  f"{n_burn} of them burn-in; need 2 after burn-in")
+            if min(n_samples - n_burn, cfg.max_lag + 1) < MIN_FIT_LAGS:
+                raise ConfigError(f"too few lags for the rate fit at k={k:g}: {n_samples} samples, "
+                                  f"{n_burn} of them burn-in, max_lag = {cfg.max_lag}; "
+                                  f"need {MIN_FIT_LAGS}")
+            acf = math.exp(-(MIN_FIT_LAGS - 1) * gamma * cfg.dt)
+            if acf <= FIT_THRESHOLD:
+                raise ConfigError(f"dt too coarse for the rate fit at k={k:g}: expected ACF "
+                                  f"{acf:.3g} at lag {MIN_FIT_LAGS - 1} <= {FIT_THRESHOLD}")
 
 
 def wavenumbers(cfg: RunConfig) -> list[float]:
@@ -215,18 +237,17 @@ def sim_config(cfg: RunConfig) -> SimConfig:
 
 
 def medium(cfg: RunConfig) -> MediumParams:
-    try:
-        return MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
+
+
+def lattice_template(cfg: RunConfig) -> LatticeField:
+    return LatticeField.zeros(cfg.d, (cfg.lattice_n,) * cfg.d, cfg.lattice_a)
 
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
         return format(x, ".17g")
     return str(x)
 
@@ -237,16 +258,14 @@ _NON_PROVENANCE_KEYS = ("out", "workers")
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    echo = {k: v for k, v in asdict(cfg).items() if k not in _NON_PROVENANCE_KEYS}
-    echo["version"] = __version__
+    echo = {"version": __version__}
+    echo.update((k, v) for k, v in asdict(cfg).items() if k not in _NON_PROVENANCE_KEYS)
     return echo
 
 
 def write_csv(path: Path, columns: list[str], rows: list[tuple], cfg: RunConfig):
-    lines = [f"# version={__version__}"]
-    for key, val in asdict(cfg).items():
-        if key in _NON_PROVENANCE_KEYS:
-            continue
+    lines = []
+    for key, val in config_echo(cfg).items():
         if isinstance(val, list):
             val = ",".join(_fmt(v) for v in val)
         lines.append(f"# {key}={_fmt(val)}")
@@ -390,7 +409,7 @@ def cmd_deco_scan(cfg: RunConfig) -> int:
 
 def cmd_field_sample(cfg: RunConfig) -> int:
     params = medium(cfg)
-    template = LatticeField.zeros(cfg.d, (cfg.lattice_n,) * cfg.d, cfg.lattice_a)
+    template = lattice_template(cfg)
     stream = NoiseStream(0.0, cfg.seed, 0)
     fields_ = [sample_equilibrium_field(params, template, stream) for _ in range(cfg.n_fields)]
     st = total_energy_fluctuation(params, fields_)
@@ -426,34 +445,15 @@ def cmd_field_sample(cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out")
-    common.add_argument("--format", choices=["csv", "json"])
-    common.add_argument("--workers", type=int)
-    common.add_argument("--T0", type=float)
-    common.add_argument("--c0", type=float)
-    common.add_argument("--D0", type=float)
-    common.add_argument("--k", dest="k_list", type=lambda s: [float(x) for x in s.split(",")],
-                        help="comma-separated wavenumbers")
-    common.add_argument("--dt", type=float)
-    common.add_argument("--t-end", dest="t_end", type=float)
-    common.add_argument("--n-traj", dest="n_traj", type=int)
-    common.add_argument("--amplitude", type=float)
-    common.add_argument("--duration", type=float)
-    common.add_argument("--method", choices=[METHOD_EXACT, METHOD_EULER])
-    common.add_argument("--burn-in", dest="burn_in", type=float)
-    common.add_argument("--noise-scale", dest="noise_scale", type=float)
-    common.add_argument("--lattice-n", dest="lattice_n", type=int)
-    common.add_argument("--lattice-a", dest="lattice_a", type=float)
-    common.add_argument("--n-fields", dest="n_fields", type=int)
+    for f in fields(RunConfig):
+        flag = "--k" if f.name == "k_list" else "--" + f.name.replace("_", "-")
+        common.add_argument(flag, dest=f.name, default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="thermodeco",
                                      description="Fluctuating heat diffusion simulator and verifier")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common])
-    sub.add_parser("fdr-verify", parents=[common])
-    sub.add_parser("deco-scan", parents=[common])
-    sub.add_parser("field-sample", parents=[common])
+    for name in _COMMANDS:
+        sub.add_parser(name, parents=[common])
     return parser
 
 
@@ -478,9 +478,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

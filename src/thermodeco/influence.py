@@ -27,7 +27,6 @@ from .medium import (
     MediumParams,
     ModeSpec,
     coupling_constant,
-    noise_strength,
     relaxation_rate,
 )
 
@@ -103,19 +102,19 @@ def dissipation_kernel_apply(
 
 
 def noise_kernel_amplitude(params: MediumParams, k: float) -> float:
-    """Delta-correlated noise kernel amplitude 2 Gamma_k A_k^2 (= 2 T0 A_k)."""
+    """Delta-correlated noise kernel amplitude N_k = 2 Gamma_k A_k^2 = 2 c0^2 / (D0 k^2)."""
     if k <= 0:
         raise SingularModeError("noise kernel diverges at k = 0")
-    a_k = coupling_constant(params, k)
-    return 2.0 * noise_strength(params, k) * a_k ** 2
+    return 2.0 * params.c0 ** 2 / (params.D0 * k ** 2)
 
 
 def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
     """Evaluate the influence action over a history pair.
 
     Re = 1/2 sum_k w_k sum_n dt [dT]_n A_k (D_c{dT}_n + gamma_k {dT}_n)
-    Im =     sum_k w_k sum_n dt Gamma_k A_k^2 [dT]_n^2        (>= 0)
-    with D_c the central time difference and left-Riemann time sums.
+    Im = 1/2 sum_k w_k sum_n dt N_k [dT]_n^2                  (>= 0)
+    with D_c the central time difference, N_k the noise kernel amplitude
+    and left-Riemann time sums.
     """
     re = 0.0
     im = 0.0
@@ -126,12 +125,11 @@ def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
         dt = h1.dt
         diff = h1.values - h2.values
         total = ModeHistory(k=k, dt=dt, values=h1.values + h2.values)
-        a_k = coupling_constant(params, k)
-        big_gamma = noise_strength(params, k)
-        drift = drift_residual(params, k, total)
+        dissipation = dissipation_kernel_apply(params, k, total)
+        noise = noise_kernel_amplitude(params, k)
         # left-Riemann: drop the final sample of the integrands
-        re += w * 0.5 * dt * a_k * float(np.dot(diff[:-1], drift[:-1]))
-        im += w * dt * big_gamma * a_k ** 2 * float(np.dot(diff[:-1], diff[:-1]))
+        re += w * 0.5 * dt * float(np.dot(diff[:-1], dissipation[:-1]))
+        im += w * 0.5 * dt * noise * float(np.dot(diff[:-1], diff[:-1]))
     return InfluenceValue(real=re, imag=im)
 
 
@@ -174,7 +172,7 @@ def static_free_energy_identity(
 
 
 def decoherence_exponent(params: MediumParams, pair: HistoryPair) -> DecoherenceResult:
-    """Per-mode exponents w_k sum_n dt (2 c0^2 / (D0 k^2)) [dT_k]_n^2.
+    """Per-mode exponents w_k sum_n dt N_k [dT_k]_n^2, N_k the noise kernel amplitude.
 
     A k = 0 mode with any nonzero branch difference contributes +inf and
     sets the conserved-mode flag (magnitude 0: exactly decohered).
@@ -194,8 +192,7 @@ def decoherence_exponent(params: MediumParams, pair: HistoryPair) -> Decoherence
             else:
                 per_mode.append(0.0)
             continue
-        coeff = 2.0 * params.c0 ** 2 / (params.D0 * h1.k ** 2)
-        per_mode.append(w * dt * coeff * sum_sq)
+        per_mode.append(w * dt * noise_kernel_amplitude(params, h1.k) * sum_sq)
     total = math.inf if conserved else float(sum(per_mode))
     magnitude = 0.0 if math.isinf(total) else math.exp(-total)
     return DecoherenceResult(

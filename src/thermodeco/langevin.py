@@ -124,17 +124,12 @@ def step_euler_maruyama(
     params: MediumParams, k: float, x, dt: float, stream: NoiseStream,
     noise_scale: float = 1.0,
 ):
-    """One Euler-Maruyama step x -> x - gamma_k x dt + sqrt(2 Gamma_k dt) n.
+    """One Euler-Maruyama step x -> (1 - gamma_k dt) x + sqrt(2 Gamma_k dt) n.
 
     Accepts a scalar or an array of independent chain states.  Caller
     should keep gamma_k * dt < 1 for stability.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    gamma = relaxation_rate(params, k)
-    big_gamma = noise_strength(params, k) * noise_scale
-    n = stream.normal(np.shape(x)) if np.ndim(x) else stream.normal()
-    return x - gamma * x * dt + math.sqrt(2.0 * big_gamma * dt) * n
+    return _step(params, k, METHOD_EULER, x, dt, stream, noise_scale)
 
 
 def step_exact_ou(
@@ -147,27 +142,30 @@ def step_exact_ou(
     sigma^2 the stationary variance; unbiased at any dt.  The k = 0 mode
     is left unchanged (zero rate, zero noise).
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    gamma = relaxation_rate(params, k)
-    sigma2 = equilibrium_mode_variance(params) * noise_scale
-    alpha = math.exp(-gamma * dt)
-    scale = math.sqrt(sigma2 * max(0.0, 1.0 - alpha * alpha))
+    return _step(params, k, METHOD_EXACT, x, dt, stream, noise_scale)
+
+
+def _step(params: MediumParams, k: float, method: str, x, dt: float, stream: NoiseStream,
+          noise_scale: float):
+    alpha, scale = _step_coefficients(params, k, method, dt, noise_scale)
     n = stream.normal(np.shape(x)) if np.ndim(x) else stream.normal()
     return alpha * x + scale * n
 
 
-def _step_coefficients(params: MediumParams, k: float, cfg: SimConfig):
+def _step_coefficients(params: MediumParams, k: float, method: str, dt: float,
+                       noise_scale: float):
     """One-step recursion x_{n+1} = alpha x_n + scale * n for the chosen method."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     gamma = relaxation_rate(params, k)
-    if cfg.method == METHOD_EXACT:
-        alpha = math.exp(-gamma * cfg.dt)
-        sigma2 = equilibrium_mode_variance(params) * cfg.noise_scale
+    if method == METHOD_EXACT:
+        alpha = math.exp(-gamma * dt)
+        sigma2 = equilibrium_mode_variance(params) * noise_scale
         scale = math.sqrt(sigma2 * max(0.0, 1.0 - alpha * alpha))
     else:
-        alpha = 1.0 - gamma * cfg.dt
-        big_gamma = noise_strength(params, k) * cfg.noise_scale
-        scale = math.sqrt(2.0 * big_gamma * cfg.dt)
+        alpha = 1.0 - gamma * dt
+        big_gamma = noise_strength(params, k) * noise_scale
+        scale = math.sqrt(2.0 * big_gamma * dt)
     return alpha, scale
 
 
@@ -185,9 +183,9 @@ def simulate_mode(
     else:
         x0 = float(cfg.initial)
     n = cfg.n_steps
-    alpha, scale = _step_coefficients(params, k, cfg)
+    alpha, scale = _step_coefficients(params, k, cfg.method, cfg.dt, cfg.noise_scale)
     incr = scale * stream.normal(n)
-    # linear recursion y_n = incr_n + alpha * y_{n-1}; same arithmetic as the
+    # linear recursion y_n = alpha * y_{n-1} + incr_n; same arithmetic as the
     # scalar steppers, evaluated by lfilter for speed
     traj, _ = lfilter([1.0], [1.0, -alpha], incr, zi=np.array([alpha * x0]))
     values = np.empty(n + 1)

@@ -130,8 +130,14 @@ def _lag_sums(x: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
+# Default fit window of fit_exponential_rate: the lags from 0 while the ACF
+# stays above FIT_THRESHOLD, at least MIN_FIT_LAGS of them.
+FIT_THRESHOLD = 0.1
+MIN_FIT_LAGS = 3
+
+
 def fit_exponential_rate(
-    acf: AcfEstimate, threshold: float = 0.1, min_lags: int = 3
+    acf: AcfEstimate, threshold: float = FIT_THRESHOLD, min_lags: int = MIN_FIT_LAGS
 ) -> float:
     """Least-squares decay rate from the window where the ACF exceeds ``threshold``.
 

@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thermodeco.cli import main
+from thermodeco.cli import RunConfig, build_parser, main, resolve_config
 
 
 def read_json(path):
@@ -45,6 +46,17 @@ def test_bad_flag_exits_2():
     ["simulate", "--k", "inf"],
     ["simulate", "--k", "100", "--method", "euler-maruyama", "--t-end", "1"],
     ["fdr-verify", "--k", "1", "--dt", "0.01", "--t-end", "0.02"],
+    ["deco-scan", "--k", "1", "--amplitude", "0"],
+    ["deco-scan", "--k", "1", "--duration", "0"],
+    ["deco-scan", "--k", "1", "--scan-steps", "0"],
+    ["field-sample", "--n-fields", "1"],
+    ["field-sample", "--lattice-a", "0"],
+    ["field-sample", "--lattice-n", "0"],
+    ["fdr-verify", "--k", "16", "--dt", "0.01", "--t-end", "200"],
+    ["fdr-verify", "--k", "1", "--max-lag", "1"],
+    ["simulate", "--k", "1", "--t-end", "1e300", "--dt", "1e-300"],
+    ["simulate", "--k", "1", "--T0", "1e200"],
+    ["simulate", "--k", "0", "--T0", "1e200"],
 ])
 def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -52,6 +64,30 @@ def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# a non-default value for every config key, as written in a file or on the command line
+SETTINGS = {
+    "T0": "2.5", "c0": "1.5", "D0": "0.5", "d": "2",
+    "k_list": "1.5,2.5", "k_min": "0.5", "dk": "0.25", "k_count": "3",
+    "dt": "0.02", "t_end": "50", "method": "euler-maruyama", "burn_in": "2.5",
+    "n_traj": "3", "initial": "0.3", "noise_scale": "0.5", "rate_tol": "0.1",
+    "max_lag": "20", "amplitude": "0.2", "duration": "5", "scan_steps": "7",
+    "lattice_n": "8", "lattice_a": "0.5", "n_fields": "50",
+    "seed": "9", "out": "elsewhere", "format": "json", "workers": "2",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SETTINGS))
+def test_config_key_and_flag_resolve_alike(tmp_path, key):
+    assert set(SETTINGS) == {f.name for f in fields(RunConfig)}
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key}={SETTINGS[key]}\n")
+    flag = "--k" if key == "k_list" else "--" + key.replace("_", "-")
+    parser = build_parser()
+    from_file = resolve_config(parser.parse_args(["simulate", "--config", str(cfgfile)]))
+    from_flag = resolve_config(parser.parse_args(["simulate", flag, SETTINGS[key]]))
+    assert from_file == from_flag != RunConfig()
 
 
 def test_config_file_with_comments_and_overrides(tmp_path):

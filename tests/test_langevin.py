@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from thermodeco import (
+    METHOD_EULER,
+    METHOD_EXACT,
     MediumParams,
     ModeSpec,
     NoiseStream,
@@ -112,14 +114,16 @@ def test_simulate_mode_deterministic_given_seed():
     assert np.array_equal(h1.values, h2.values)
 
 
-def test_simulate_mode_matches_scalar_stepping():
-    cfg = SimConfig(dt=0.1, t_end=2.0, seed=5, initial=0.3)
+@pytest.mark.parametrize("method", [METHOD_EXACT, METHOD_EULER])
+def test_simulate_mode_matches_scalar_stepping(method):
+    step = {METHOD_EXACT: step_exact_ou, METHOD_EULER: step_euler_maruyama}[method]
+    cfg = SimConfig(dt=0.1, t_end=2.0, method=method, seed=5, initial=0.3)
     hist = simulate_mode(UNIT, 1.0, cfg)
     stream = NoiseStream(1.0, seed=5, substream=0)
     x = 0.3
     vals = [x]
     for _ in range(cfg.n_steps):
-        x = step_exact_ou(UNIT, 1.0, x, cfg.dt, stream)
+        x = step(UNIT, 1.0, x, cfg.dt, stream)
         vals.append(x)
     assert np.array_equal(hist.values, np.array(vals))
 
