@@ -23,15 +23,15 @@ template = LatticeField.zeros(d=1, extents=64, spacing=1.0)
 stream = NoiseStream(0.0, seed=7)
 
 n = 20_000
-fields = [sample_equilibrium_field(params, template, stream) for _ in range(n)]
+ensemble = sample_equilibrium_field(params, template, stream, n)  # values shaped (n, 64)
 
-st = total_energy_fluctuation(params, fields)
+st = total_energy_fluctuation(params, ensemble)
 expected = template.volume * params.c0 * params.T0 ** 2
 print(f"<(dU)^2> over {n:,} fields: {st.variance:.3f} +/- {st.stderr_variance:.3f}")
 print(f"heat-capacity prediction V c0 T0^2: {expected}")
 
-mean_df = mean_free_energy(params, fields)
+mean_df = mean_free_energy(params, ensemble)
 print(f"mean free-energy cost: {mean_df:.3f} (equipartition: {template.n_sites / 2} = T0/2 per site)")
 
 print(f"worst Parseval residual over 10 fields: "
-      f"{max(parseval_check(f) for f in fields[:10]):.2e}")
+      f"{max(parseval_check(template.with_values(row)) for row in ensemble.values[:10]):.2e}")

@@ -29,6 +29,8 @@ import numpy as np
 from . import __version__
 from .errors import InsufficientDataError
 from .fieldspace import (
+    equilibrium_energy_variance,
+    equilibrium_site_variance,
     mean_free_energy,
     parseval_check,
     sample_equilibrium_field,
@@ -177,7 +179,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     elif args.command == "field-sample":
         if cfg.n_fields < 2:
             raise ConfigError("n_fields must be >= 2")
-        lattice_template(cfg)  # LatticeField checks lattice_n and lattice_a
+        template = lattice_template(cfg)  # LatticeField checks lattice_n and lattice_a
+        _check_array_size("n_fields * lattice_n^d site values", cfg.n_fields * template.n_sites)
+        var = _finite("site variance T0^2/(c0*lattice_a^d)",
+                      lambda: equilibrium_site_variance(params, template))
+        _finite("n_sites * site variance", lambda: template.n_sites * var)
+        _finite("energy variance V*c0*T0^2", lambda: equilibrium_energy_variance(params, template))
     return cfg
 
 
@@ -186,9 +193,16 @@ def _finite(what: str, compute):
     try:
         if math.isfinite(value := compute()):
             return value
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         pass
     raise ConfigError(f"{what} overflows")
+
+
+def _check_array_size(what: str, n_values: int):
+    """A ConfigError if n_values float64 values exceed numpy's array size limit."""
+    limit = np.iinfo(np.intp).max
+    if n_values * np.dtype(float).itemsize > limit:
+        raise ConfigError(f"{what} exceed numpy's array size limit of {limit} bytes")
 
 
 def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool):
@@ -199,6 +213,7 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool)
     ACF above FIT_THRESHOLD at the last of them.
     """
     n_samples = _finite("number of steps t_end/dt", lambda: sim_config(cfg).n_steps) + 1
+    _check_array_size("t_end/dt + 1 samples per trajectory", n_samples)
     _finite("equilibrium variance T0^2/c0", lambda: equilibrium_mode_variance(params))
     for k in ks:
         _finite(f"noise strength at k={k:g}", lambda: noise_strength(params, k))
@@ -279,21 +294,26 @@ def write_csv(path: Path, columns: list[str], rows: list[tuple], cfg: RunConfig)
 def write_table(outdir: Path, stem: str, columns: list[str], rows: list[tuple], cfg: RunConfig):
     """Table in the configured format: CSV (default) or a JSON row list."""
     if cfg.format == "json":
-        payload = {
-            "columns": columns,
-            "rows": [[_fmt(v) if isinstance(v, float) and math.isinf(v) else v for v in row]
-                     for row in rows],
-        }
-        write_json(outdir / f"{stem}.json", payload, cfg)
+        write_json(outdir / f"{stem}.json", {"columns": columns, "rows": rows}, cfg)
     else:
         write_csv(outdir / f"{stem}.csv", columns, rows, cfg)
 
 
+def _json_value(x):
+    """x with each non-finite float written as its _fmt string: JSON has no inf or nan."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else _fmt(x)
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    return x
+
+
 def write_json(path: Path, payload: dict, cfg: RunConfig):
-    payload = dict(payload)
-    payload["config"] = config_echo(cfg)
+    payload = _json_value({**payload, "config": config_echo(cfg)})
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -411,15 +431,15 @@ def cmd_field_sample(cfg: RunConfig) -> int:
     params = medium(cfg)
     template = lattice_template(cfg)
     stream = NoiseStream(0.0, cfg.seed, 0)
-    fields_ = [sample_equilibrium_field(params, template, stream) for _ in range(cfg.n_fields)]
-    st = total_energy_fluctuation(params, fields_)
-    expected = template.volume * params.c0 * params.T0 ** 2
+    ensemble = sample_equilibrium_field(params, template, stream, cfg.n_fields)
+    st = total_energy_fluctuation(params, ensemble)
+    expected = equilibrium_energy_variance(params, template)
     du_pass = abs(st.variance - expected) <= 3.0 * st.stderr_variance
 
-    residual = max(parseval_check(fld) for fld in fields_[: min(10, len(fields_))])
+    residual = max(parseval_check(template.with_values(row)) for row in ensemble.values[:10])
     parseval_pass = residual <= 1e-12
 
-    mean_df = mean_free_energy(params, fields_)
+    mean_df = mean_free_energy(params, ensemble)
     expected_df = template.n_sites * params.T0 / 2.0
     # free energy of an equilibrium field is a chi^2 sum: sd = sqrt(n_sites/2) * T0
     stderr_df = math.sqrt(template.n_sites / 2.0) * params.T0 / math.sqrt(cfg.n_fields)
@@ -481,6 +501,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"config error: run does not fit in memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

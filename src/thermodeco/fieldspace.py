@@ -5,7 +5,8 @@ the spatial mean; Parseval's identity then reads
 sum_sites cell_volume * dT^2 = V * sum_modes |c_m|^2.  Also provides exact
 equilibrium field sampling from the Gaussian measure exp(-beta0 * dF),
 which is site-diagonal on the lattice, and the total-energy fluctuation
-statistic whose variance equals the heat capacity times T0^2.
+statistic whose variance equals the heat capacity times T0^2.  An ensemble
+is sampled and reduced as one LatticeField shaped (n_fields, *extents).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InsufficientDataError, NonHermitianError
+from .errors import GridMismatchError, NonHermitianError
 from .langevin import NoiseStream
 from .medium import LatticeField, MediumParams, free_energy_change
 from .stats import EnsembleStats, sample_variance
@@ -50,7 +51,9 @@ class SpectralField:
 
 
 def to_modes(fld: LatticeField) -> SpectralField:
-    """Forward transform: c_m = (1/N) sum_j dT(x_j) e^{-i k_m x_j}."""
+    """Forward transform: c_m = (1/N) sum_j dT(x_j) e^{-i k_m x_j}, of one field."""
+    if fld.values.ndim != fld.d:
+        raise ValueError("to_modes transforms one field, not an ensemble")
     coeff = np.fft.fftn(fld.values) / fld.n_sites
     lengths = tuple(n * a for n, a in zip(fld.extents, fld.spacing))
     return SpectralField(d=fld.d, extents=fld.extents, coefficients=coeff, lengths=lengths)
@@ -81,36 +84,37 @@ def parseval_check(fld: LatticeField) -> float:
     return abs(lhs - rhs) / denom
 
 
+def equilibrium_site_variance(params: MediumParams, template: LatticeField) -> float:
+    """Variance T0^2 / (c0 * cell_volume) of each site under exp(-beta0 * dF)."""
+    return params.T0 ** 2 / (params.c0 * template.cell_volume)
+
+
+def equilibrium_energy_variance(params: MediumParams, template: LatticeField) -> float:
+    """Equilibrium <dU^2> = V * c0 * T0^2, the heat capacity times T0^2."""
+    return template.volume * params.c0 * params.T0 ** 2
+
+
 def sample_equilibrium_field(
-    params: MediumParams, template: LatticeField, stream: NoiseStream
+    params: MediumParams, template: LatticeField, stream: NoiseStream, n_fields: int = 1
 ) -> LatticeField:
-    """Exact draw from exp(-beta0 * dF): iid site Gaussians of variance
-    T0^2 / (c0 * cell_volume)."""
+    """Exact draws from exp(-beta0 * dF), iid site Gaussians of variance T0^2 / (c0 *
+    cell_volume): one (n_fields, *extents) block, the Philox sequence of n_fields draws."""
     if template.d != params.d:
         raise GridMismatchError("template dimension does not match the medium")
-    sigma = np.sqrt(params.T0 ** 2 / (params.c0 * template.cell_volume))
-    return template.with_values(sigma * stream.normal(template.extents))
+    sigma = np.sqrt(equilibrium_site_variance(params, template))
+    return template.with_values(sigma * stream.normal((n_fields, *template.extents)))
 
 
-def total_energy_change(params: MediumParams, fld: LatticeField) -> float:
-    """Total energy perturbation dU = c0 * sum_sites cell_volume * dT."""
-    return params.c0 * fld.cell_volume * float(np.sum(fld.values))
+def total_energy_change(params: MediumParams, fld: LatticeField):
+    """Total energy perturbation dU = c0 * sum_sites cell_volume * dT, per field."""
+    return params.c0 * fld.cell_volume * fld.site_sum(fld.values)
 
 
-def total_energy_fluctuation(
-    params: MediumParams, fields: list[LatticeField]
-) -> EnsembleStats:
+def total_energy_fluctuation(params: MediumParams, fields: LatticeField) -> EnsembleStats:
     """Variance statistics of dU over an ensemble; expectation V * c0 * T0^2."""
-    if len(fields) < 2:
-        raise InsufficientDataError("need at least 2 fields")
-    ref = fields[0]
-    for fld in fields[1:]:
-        if fld.extents != ref.extents or fld.spacing != ref.spacing or fld.d != ref.d:
-            raise GridMismatchError("all fields must share the same geometry")
-    du = np.array([total_energy_change(params, fld) for fld in fields])
-    return sample_variance(du)
+    return sample_variance(total_energy_change(params, fields))
 
 
-def mean_free_energy(params: MediumParams, fields: list[LatticeField]) -> float:
+def mean_free_energy(params: MediumParams, fields: LatticeField) -> float:
     """Ensemble mean of the free-energy cost; equals n_sites * T0 / 2 in equilibrium."""
-    return float(np.mean([free_energy_change(params, fld) for fld in fields]))
+    return float(np.mean(free_energy_change(params, fields)))

@@ -66,7 +66,8 @@ class LatticeField:
 
     extents: grid points per axis; spacing: lattice spacing per axis (a
     scalar is broadcast to all axes); values: real amplitudes at each site,
-    shaped like ``extents``.
+    shaped like ``extents``, or ``(n, *extents)`` for an ensemble of n
+    fields.  n_sites, cell_volume and volume are per field.
     """
 
     d: int
@@ -86,7 +87,9 @@ class LatticeField:
             raise ValueError("all extents must be >= 1")
         if any(a <= 0 for a in spacing):
             raise ValueError("lattice spacing must be positive")
-        values = np.asarray(self.values, dtype=float).reshape(extents)
+        values = np.asarray(self.values, dtype=float)
+        one_field = values.size == math.prod(extents)  # an ensemble of one is one field
+        values = values.reshape(extents if one_field else (*values.shape[:1], *extents))
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "values", values)
@@ -102,6 +105,11 @@ class LatticeField:
     @property
     def volume(self) -> float:
         return float(np.prod(np.asarray(self.extents) * np.asarray(self.spacing)))
+
+    def site_sum(self, x: np.ndarray):
+        """Sum of ``x``, shaped like ``values``, over the sites: a float, or (n,) for n fields."""
+        sums = np.sum(x, axis=tuple(range(-self.d, 0)))
+        return float(sums) if sums.ndim == 0 else sums
 
     def with_values(self, values: np.ndarray) -> "LatticeField":
         """Same geometry, new site values."""
@@ -153,19 +161,15 @@ def _check_dimension(params: MediumParams, fld: LatticeField):
         )
 
 
-def free_energy_change(params: MediumParams, fld: LatticeField) -> float:
+def free_energy_change(params: MediumParams, fld: LatticeField):
     """Quadratic free-energy cost of a temperature perturbation.
 
     Lattice form of the spatial integral of c0/(2 T0) * dT^2, with the
     cell volume as quadrature weight.  Non-negative; zero iff the field
-    vanishes identically.
+    vanishes identically.  A float, or an (n,) array for an ensemble.
     """
     _check_dimension(params, fld)
-    return (
-        params.c0 / (2.0 * params.T0)
-        * fld.cell_volume
-        * float(np.sum(fld.values ** 2))
-    )
+    return params.c0 / (2.0 * params.T0) * fld.cell_volume * fld.site_sum(fld.values ** 2)
 
 
 def equilibrium_log_density(params: MediumParams, fld: LatticeField) -> float:
@@ -181,32 +185,26 @@ def free_energy_hessian(
     Central differences with the supplied step; default step is
     1e-3 * max(1, max|dT|).  Returns an (n_sites, n_sites) matrix.
     """
-    _check_dimension(params, fld)
+    f0 = free_energy_change(params, fld)  # checks the dimension first
     if step is None:
         step = 1e-3 * max(1.0, float(np.max(np.abs(fld.values))) if fld.n_sites else 1.0)
     if not step > 0:
         raise ValueError("step must be positive")
 
-    base = fld.values.ravel().copy()
+    base = fld.values.ravel()
     n = base.size
 
-    def f(v):
-        return free_energy_change(params, fld.with_values(v))
+    def f(shifts):
+        """Free energy of base + each row of shifts (at least 2 rows)."""
+        return free_energy_change(params, fld.with_values(base + shifts))
 
-    hess = np.empty((n, n))
-    f0 = f(base)
-    for i in range(n):
-        vp = base.copy(); vp[i] += step
-        vm = base.copy(); vm[i] -= step
-        hess[i, i] = (f(vp) - 2.0 * f0 + f(vm)) / step ** 2
-        for j in range(i + 1, n):
-            vpp = base.copy(); vpp[i] += step; vpp[j] += step
-            vpm = base.copy(); vpm[i] += step; vpm[j] -= step
-            vmp = base.copy(); vmp[i] -= step; vmp[j] += step
-            vmm = base.copy(); vmm[i] -= step; vmm[j] -= step
-            hij = (f(vpp) - f(vpm) - f(vmp) + f(vmm)) / (4.0 * step ** 2)
-            hess[i, j] = hij
-            hess[j, i] = hij
+    unit = step * np.eye(n)
+    fp, fm = f(np.concatenate([unit, -unit])).reshape(2, n)
+    hess = np.diag((fp - 2.0 * f0 + fm) / step ** 2)
+    for i in range(n - 1):
+        ui, uj = unit[i], unit[i + 1:]
+        fpp, fpm, fmp, fmm = f(np.concatenate([ui + uj, ui - uj, uj - ui, -ui - uj])).reshape(4, -1)
+        hess[i, i + 1:] = hess[i + 1:, i] = (fpp - fpm - fmp + fmm) / (4.0 * step ** 2)
     return hess
 
 

@@ -177,8 +177,7 @@ def test_criterion_06_decoherence_scaling():
 def test_criterion_07_energy_fluctuation():
     tpl = LatticeField.zeros(1, 64, 1.0)
     stream = NoiseStream(0.0, 31, 0)
-    fields = [sample_equilibrium_field(UNIT, tpl, stream) for _ in range(100_000)]
-    st = total_energy_fluctuation(UNIT, fields)
+    st = total_energy_fluctuation(UNIT, sample_equilibrium_field(UNIT, tpl, stream, 100_000))
     ok = abs(st.variance - 64.0) <= 3 * st.stderr_variance
     _report(7, "energy fluctuation = V c0 T0^2",
             ok, f"var={st.variance:.3f} expected 64 +/- {3 * st.stderr_variance:.3f}")

@@ -57,6 +57,12 @@ def test_bad_flag_exits_2():
     ["simulate", "--k", "1", "--t-end", "1e300", "--dt", "1e-300"],
     ["simulate", "--k", "1", "--T0", "1e200"],
     ["simulate", "--k", "0", "--T0", "1e200"],
+    ["field-sample", "--T0", "1e160"],
+    ["field-sample", "--d", "3", "--lattice-n", "2", "--lattice-a", "1e-110"],
+    ["field-sample", "--T0", "1e154"],
+    ["simulate", "--k", "1", "--t-end", "1e200", "--dt", "1"],
+    ["simulate", "--k", "1", "--t-end", "1e17", "--dt", "1"],
+    ["field-sample", "--n-fields", "200000000000000000"],
 ])
 def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -132,6 +138,19 @@ def test_simulate_variance_summary(tmp_path):
     mode = read_json(out / "summary.json")["modes"][0]
     assert abs(mode["sample_variance"] - 1.0) <= 3 * mode["stderr_variance"]
     assert mode["expected_rate"] == 1.0
+
+
+def test_json_summary_has_no_non_finite_tokens(tmp_path):
+    out = tmp_path / "o"
+    rc = main(["simulate", "--k", "1", "--t-end", "5", "--dt", "0.01", "--initial", "1e300",
+               "--burn-in", "0", "--out", str(out)])
+    assert rc == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    mode = json.loads((out / "summary.json").read_text(), parse_constant=reject)["modes"][0]
+    assert mode["sample_variance"] == "inf"
 
 
 def test_simulate_rerun_byte_identical(tmp_path):

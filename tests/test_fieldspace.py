@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermodeco import (
-    GridMismatchError,
     LatticeField,
     MediumParams,
     NoiseStream,
@@ -45,6 +46,12 @@ def test_round_trip_identity():
         back = from_modes(to_modes(fld))
         assert np.max(np.abs(back.values - fld.values)) <= 1e-12
         assert np.allclose(back.spacing, fld.spacing, rtol=1e-14)
+
+
+def test_to_modes_rejects_ensemble():
+    ensemble = LatticeField(1, (4,), 1.0, np.zeros((3, 4)))
+    with pytest.raises(ValueError):
+        to_modes(ensemble)
 
 
 def test_from_modes_cosine():
@@ -88,7 +95,7 @@ def test_equilibrium_site_variance():
     tpl = LatticeField.zeros(1, 1, 1.0)
     stream = NoiseStream(0.0, 3, 0)
     n = 100_000
-    draws = np.array([sample_equilibrium_field(UNIT, tpl, stream).values[0] for _ in range(n)])
+    draws = sample_equilibrium_field(UNIT, tpl, stream, n).values[:, 0]
     assert abs(np.var(draws, ddof=1) - 1.0) <= 3 * math.sqrt(2.0 / n)
 
 
@@ -97,8 +104,7 @@ def test_equipartition_mean_free_energy():
     p = MediumParams(T0=2.0, c0=3.0, D0=1.0)
     stream = NoiseStream(0.0, 4, 0)
     n = 20_000
-    fields = [sample_equilibrium_field(p, tpl, stream) for _ in range(n)]
-    mean_df = mean_free_energy(p, fields)
+    mean_df = mean_free_energy(p, sample_equilibrium_field(p, tpl, stream, n))
     expected = 16 * p.T0 / 2.0
     stderr = math.sqrt(16 / 2.0) * p.T0 / math.sqrt(n)
     assert abs(mean_df - expected) <= 3 * stderr
@@ -112,17 +118,16 @@ def test_total_energy_change_single_site():
 
 def test_energy_fluctuation_zero_ensemble():
     tpl = LatticeField.zeros(1, 4, 1.0)
-    st = total_energy_fluctuation(UNIT, [tpl, tpl, tpl])
-    assert st.variance == 0.0
+    stats = total_energy_fluctuation(UNIT, tpl.with_values(np.zeros((3, 4))))
+    assert stats.variance == 0.0
 
 
 def test_energy_fluctuation_matches_heat_capacity():
     tpl = LatticeField.zeros(1, 32, 1.0)
     stream = NoiseStream(0.0, 6, 0)
     n = 20_000
-    fields = [sample_equilibrium_field(UNIT, tpl, stream) for _ in range(n)]
-    st = total_energy_fluctuation(UNIT, fields)
-    assert abs(st.variance - 32.0) <= 3 * st.stderr_variance
+    stats = total_energy_fluctuation(UNIT, sample_equilibrium_field(UNIT, tpl, stream, n))
+    assert abs(stats.variance - 32.0) <= 3 * stats.stderr_variance
 
 
 def test_energy_fluctuation_extensive_in_volume():
@@ -131,29 +136,39 @@ def test_energy_fluctuation_extensive_in_volume():
     out = {}
     for size in (16, 32):
         tpl = LatticeField.zeros(1, size, 1.0)
-        fields = [sample_equilibrium_field(UNIT, tpl, stream) for _ in range(n)]
-        out[size] = total_energy_fluctuation(UNIT, fields).variance
+        ensemble = sample_equilibrium_field(UNIT, tpl, stream, n)
+        out[size] = total_energy_fluctuation(UNIT, ensemble).variance
     assert out[32] / out[16] == pytest.approx(2.0, rel=0.1)
-
-
-def test_energy_fluctuation_geometry_mismatch():
-    a = LatticeField.zeros(1, 4, 1.0)
-    b = LatticeField.zeros(1, 8, 1.0)
-    with pytest.raises(GridMismatchError):
-        total_energy_fluctuation(UNIT, [a, b])
 
 
 def test_single_site_energy_variance():
     p = MediumParams(T0=2.0, c0=3.0, D0=1.0)
     tpl = LatticeField.zeros(1, 1, 0.5)
     stream = NoiseStream(0.0, 8, 0)
-    fields = [sample_equilibrium_field(p, tpl, stream) for _ in range(50_000)]
-    st = total_energy_fluctuation(p, fields)
+    stats = total_energy_fluctuation(p, sample_equilibrium_field(p, tpl, stream, 50_000))
     expected = p.c0 * p.T0 ** 2 * 0.5  # c0 T0^2 a for a single site
-    assert abs(st.variance - expected) <= 3 * st.stderr_variance
+    assert abs(stats.variance - expected) <= 3 * stats.stderr_variance
 
 
 def test_equilibrium_free_energy_positive():
     tpl = LatticeField.zeros(1, 8, 1.0)
     fld = sample_equilibrium_field(UNIT, tpl, NoiseStream(0.0, 9, 0))
     assert free_energy_change(UNIT, fld) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), n=st.integers(2, 20), seed=st.integers(0, 2**32 - 1))
+def test_ensemble_matches_per_field_calls(data, d, n, seed):
+    extents = tuple(data.draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    spacing = data.draw(st.lists(st.floats(1e-30, 1e30), min_size=d, max_size=d))
+    p = MediumParams(T0=1.5, c0=2.0, D0=1.0, d=d)
+    tpl = LatticeField.zeros(d, extents, spacing)
+    ensemble = sample_equilibrium_field(p, tpl, NoiseStream(0.0, seed, 3), n)
+    stream = NoiseStream(0.0, seed, 3)
+    rows = [sample_equilibrium_field(p, tpl, stream) for _ in range(n)]
+    assert ensemble.values.shape == (n, *extents)
+    assert np.array_equal(ensemble.values, np.stack([fld.values for fld in rows]))
+    du, df = total_energy_change(p, ensemble), free_energy_change(p, ensemble)
+    assert du.shape == df.shape == (n,)
+    assert np.array_equal(du, [total_energy_change(p, fld) for fld in rows])
+    assert np.array_equal(df, [free_energy_change(p, fld) for fld in rows])
