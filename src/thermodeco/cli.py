@@ -215,6 +215,8 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool)
     n_samples = _finite("number of steps t_end/dt", lambda: sim_config(cfg).n_steps) + 1
     _check_array_size("t_end/dt + 1 samples per trajectory", n_samples)
     _finite("equilibrium variance T0^2/c0", lambda: equilibrium_mode_variance(params))
+    if cfg.initial != SAMPLE_EQUILIBRIUM:
+        _finite("initial^2 * (t_end/dt + 1)", lambda: cfg.initial ** 2 * n_samples)
     for k in ks:
         _finite(f"noise strength at k={k:g}", lambda: noise_strength(params, k))
         gamma = relaxation_rate(params, k)
@@ -322,6 +324,20 @@ def _burn_in_steps(cfg: RunConfig, gamma: float) -> int:
     return max(int(math.ceil(burn_t / cfg.dt)), 0)
 
 
+def _within_3sigma(estimate: float, expected: float, stderr: float) -> bool:
+    """The gate |estimate - expected| <= 3 stderr; false when estimate or stderr is not finite."""
+    return (math.isfinite(estimate) and math.isfinite(stderr)
+            and abs(estimate - expected) <= 3.0 * stderr)
+
+
+def _fit_rate(cfg: RunConfig, k: float, post: np.ndarray) -> float:
+    """Decay rate fitted to the ACF of post-burn-in samples; InsufficientDataError if too few."""
+    if post.size < MIN_FIT_LAGS:
+        raise InsufficientDataError(f"{post.size} samples after burn-in, the fit needs {MIN_FIT_LAGS}")
+    acf = autocorrelation(ModeHistory(k, cfg.dt, post), min(cfg.max_lag, post.size - 1))
+    return fit_exponential_rate(acf)
+
+
 def _mode_summary(params: MediumParams, cfg: RunConfig, spec: ModeSpec, trajs: list[ModeHistory]) -> dict:
     gamma = relaxation_rate(params, spec.k)
     n_burn = _burn_in_steps(cfg, gamma)
@@ -340,8 +356,7 @@ def _mode_summary(params: MediumParams, cfg: RunConfig, spec: ModeSpec, trajs: l
         entry["stderr_variance"] = variance_stderr_correlated(st.variance, st.n, gamma, cfg.dt)
         entry["sample_mean"] = st.mean
     try:
-        acf = autocorrelation(trajs[0], min(cfg.max_lag, len(trajs[0]) - 1))
-        entry["fitted_rate"] = fit_exponential_rate(acf)
+        entry["fitted_rate"] = _fit_rate(cfg, spec.k, trajs[0].values[n_burn:])
     except InsufficientDataError:
         entry["fitted_rate"] = None
     return entry
@@ -383,7 +398,7 @@ def cmd_fdr_verify(cfg: RunConfig) -> int:
         st = sample_variance(post)
         expected = equilibrium_mode_variance(params)
         stderr = variance_stderr_correlated(expected, st.n, gamma, cfg.dt)
-        var_pass = abs(st.variance - expected) <= 3.0 * stderr
+        var_pass = _within_3sigma(st.variance, expected, stderr)
         entry = {
             "k": spec.k,
             "variance": st.variance,
@@ -392,8 +407,7 @@ def cmd_fdr_verify(cfg: RunConfig) -> int:
             "variance_pass": var_pass,
         }
         try:
-            acf = autocorrelation(ModeHistory(spec.k, cfg.dt, post), min(cfg.max_lag, post.size - 1))
-            fitted = fit_exponential_rate(acf)
+            fitted = _fit_rate(cfg, spec.k, post)
             # statistical floor: sd(rate)/rate ~ sqrt(2 tau / T) for a run of
             # T time units with correlation time tau = 1/gamma
             rel_sd = math.sqrt(2.0 / (gamma * post.size * cfg.dt))
@@ -434,7 +448,7 @@ def cmd_field_sample(cfg: RunConfig) -> int:
     ensemble = sample_equilibrium_field(params, template, stream, cfg.n_fields)
     st = total_energy_fluctuation(params, ensemble)
     expected = equilibrium_energy_variance(params, template)
-    du_pass = abs(st.variance - expected) <= 3.0 * st.stderr_variance
+    du_pass = _within_3sigma(st.variance, expected, st.stderr_variance)
 
     residual = max(parseval_check(template.with_values(row)) for row in ensemble.values[:10])
     parseval_pass = residual <= 1e-12
@@ -443,7 +457,7 @@ def cmd_field_sample(cfg: RunConfig) -> int:
     expected_df = template.n_sites * params.T0 / 2.0
     # free energy of an equilibrium field is a chi^2 sum: sd = sqrt(n_sites/2) * T0
     stderr_df = math.sqrt(template.n_sites / 2.0) * params.T0 / math.sqrt(cfg.n_fields)
-    equip_pass = abs(mean_df - expected_df) <= 3.0 * stderr_df
+    equip_pass = _within_3sigma(mean_df, expected_df, stderr_df)
 
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -108,6 +108,20 @@ def noise_kernel_amplitude(params: MediumParams, k: float) -> float:
     return 2.0 * params.c0 ** 2 / (params.D0 * k ** 2)
 
 
+def _left_sum_sq(diff: np.ndarray) -> float:
+    """Left-Riemann sum of squares over all samples but the last (0.0 for one sample)."""
+    return float(np.dot(diff[:-1], diff[:-1]))
+
+
+def _noise_functional(params: MediumParams, k: float, weight: float, dt: float,
+                      sum_sq: float) -> float:
+    """Noise functional w_k dt N_k sum_n [dT_k]_n^2 of one mode, given that sum of squares.
+
+    Twice the mode's share of Im A and its decoherence exponent; k > 0.
+    """
+    return weight * dt * noise_kernel_amplitude(params, k) * sum_sq
+
+
 def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
     """Evaluate the influence action over a history pair.
 
@@ -126,10 +140,9 @@ def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
         diff = h1.values - h2.values
         total = ModeHistory(k=k, dt=dt, values=h1.values + h2.values)
         dissipation = dissipation_kernel_apply(params, k, total)
-        noise = noise_kernel_amplitude(params, k)
         # left-Riemann: drop the final sample of the integrands
         re += w * 0.5 * dt * float(np.dot(diff[:-1], dissipation[:-1]))
-        im += w * 0.5 * dt * noise * float(np.dot(diff[:-1], diff[:-1]))
+        im += 0.5 * _noise_functional(params, k, w, dt, _left_sum_sq(diff))
     return InfluenceValue(real=re, imag=im)
 
 
@@ -182,8 +195,6 @@ def decoherence_exponent(params: MediumParams, pair: HistoryPair) -> Decoherence
     conserved = False
     for h1, h2, w in zip(pair.branch1, pair.branch2, pair.weights):
         diff = h1.values - h2.values
-        dt = h1.dt
-        sum_sq = float(np.dot(diff[:-1], diff[:-1])) if diff.size > 1 else float(diff[0] ** 2)
         ks.append(h1.k)
         if h1.k == 0.0:
             if np.any(diff != 0.0):
@@ -192,7 +203,7 @@ def decoherence_exponent(params: MediumParams, pair: HistoryPair) -> Decoherence
             else:
                 per_mode.append(0.0)
             continue
-        per_mode.append(w * dt * noise_kernel_amplitude(params, h1.k) * sum_sq)
+        per_mode.append(_noise_functional(params, h1.k, w, h1.dt, _left_sum_sq(diff)))
     total = math.inf if conserved else float(sum(per_mode))
     magnitude = 0.0 if math.isinf(total) else math.exp(-total)
     return DecoherenceResult(
@@ -213,9 +224,11 @@ def decoherence_scan(
 ) -> list[tuple[float, float, float, bool]]:
     """Exponent and magnitude per k for a constant branch difference.
 
-    Builds the pair with branch difference ``amplitude`` held over
-    ``duration`` (unit mode weight) and returns rows
-    (k, exponent, magnitude, conserved_flag) sorted ascending in k.
+    The rows are those of ``decoherence_exponent`` on the pair with branch
+    difference ``amplitude`` held over ``duration`` (unit mode weight):
+    (k, exponent, magnitude, conserved_flag) sorted ascending in k.  The
+    difference is the same for every k, so its sum of squares is taken
+    once; a k = 0 row is (0.0, inf, 0.0, True).
     """
     if not amplitude > 0:
         raise ValueError("amplitude must be positive")
@@ -224,15 +237,12 @@ def decoherence_scan(
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     dt = duration / n_steps
-    ones = np.full(n_steps + 1, amplitude)
-    zeros = np.zeros(n_steps + 1)
+    sum_sq = _left_sum_sq(np.full(n_steps + 1, amplitude))
     rows = []
     for k in sorted(float(k) for k in k_values):
-        pair = HistoryPair(
-            branch1=(ModeHistory(k=k, dt=dt, values=ones),),
-            branch2=(ModeHistory(k=k, dt=dt, values=zeros),),
-            weights=(1.0,),
-        )
-        res = decoherence_exponent(params, pair)
-        rows.append((k, res.total_exponent, res.magnitude, res.conserved_mode_diverged))
+        if k == 0.0:
+            rows.append((k, math.inf, 0.0, True))
+        else:
+            exponent = _noise_functional(params, k, 1.0, dt, sum_sq)
+            rows.append((k, exponent, math.exp(-exponent), False))
     return rows

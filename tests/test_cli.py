@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thermodeco import ModeHistory, autocorrelation, fit_exponential_rate
 from thermodeco.cli import RunConfig, build_parser, main, resolve_config
 
 
@@ -63,6 +64,7 @@ def test_bad_flag_exits_2():
     ["simulate", "--k", "1", "--t-end", "1e200", "--dt", "1"],
     ["simulate", "--k", "1", "--t-end", "1e17", "--dt", "1"],
     ["field-sample", "--n-fields", "200000000000000000"],
+    ["simulate", "--k", "1", "--t-end", "5", "--dt", "0.01", "--initial", "1e300", "--burn-in", "0"],
 ])
 def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -140,17 +142,39 @@ def test_simulate_variance_summary(tmp_path):
     assert mode["expected_rate"] == 1.0
 
 
+def test_simulate_rate_fitted_after_burn_in(tmp_path):
+    out = tmp_path / "o"
+    assert main(["simulate", "--k", "1", "--dt", "0.01", "--t-end", "50", "--initial", "5",
+                 "--seed", "3", "--out", str(out)]) == 0
+    mode = read_json(out / "summary.json")["modes"][0]
+    _, rows = read_csv_rows(out / "mode0_traj0.csv")
+    post = np.array([float(r[1]) for r in rows])[mode["burn_in_steps"]:]
+    acf = autocorrelation(ModeHistory(1.0, 0.01, post), 400)
+    assert mode["fitted_rate"] == pytest.approx(fit_exponential_rate(acf), rel=1e-12)
+    # the default burn-in 10/gamma = 1000 outlasts a run of 50 at k = 0.1
+    assert main(["simulate", "--k", "0.1", "--t-end", "50", "--out", str(tmp_path / "short")]) == 0
+    assert read_json(tmp_path / "short" / "summary.json")["modes"][0]["fitted_rate"] is None
+
+
 def test_json_summary_has_no_non_finite_tokens(tmp_path):
     out = tmp_path / "o"
-    rc = main(["simulate", "--k", "1", "--t-end", "5", "--dt", "0.01", "--initial", "1e300",
-               "--burn-in", "0", "--out", str(out)])
-    assert rc == 0
+    # the sampled fields overflow although the expected energy variance is finite
+    rc = main(["field-sample", "--T0", "1.6e153", "--n-fields", "100", "--out", str(out)])
+    assert rc == 1
 
     def reject(token):
         raise ValueError(f"non-JSON token {token}")
 
-    mode = json.loads((out / "summary.json").read_text(), parse_constant=reject)["modes"][0]
-    assert mode["sample_variance"] == "inf"
+    report = json.loads((out / "field_summary.json").read_text(), parse_constant=reject)
+    assert report["energy_variance"] == "inf"
+
+
+def test_gate_fails_on_overflowed_estimate(tmp_path):
+    out = tmp_path / "o"
+    assert main(["field-sample", "--T0", "1.6e153", "--n-fields", "100", "--out", str(out)]) == 1
+    report = read_json(out / "field_summary.json")
+    assert report["energy_variance_stderr"] == "inf"
+    assert report["energy_variance_pass"] is False
 
 
 def test_simulate_rerun_byte_identical(tmp_path):

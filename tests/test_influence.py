@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermodeco import (
     GridMismatchError,
@@ -209,7 +211,13 @@ def test_decoherence_matches_twice_noise_action():
         pair = _random_pair(rng)
         exp = decoherence_exponent(P243, pair).total_exponent
         im = influence_action(P243, pair).imag
-        assert exp == pytest.approx(2.0 * im, rel=1e-12)
+        assert exp == 2.0 * im
+
+
+def test_decoherence_one_sample_spans_no_time():
+    res = decoherence_exponent(P243, _pair(1.5, 0.1, [0.3], [0.0]))
+    assert res.total_exponent == 0.0
+    assert res.magnitude == 1.0
 
 
 def test_decoherence_scan_examples():
@@ -233,3 +241,27 @@ def test_decoherence_scan_conserved_row():
 def test_decoherence_scan_single_k():
     rows = decoherence_scan(UNIT, [2.0], amplitude=0.5, duration=1.0)
     assert len(rows) == 1
+
+
+_positive = st.floats(0.1, 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    medium=st.tuples(_positive, _positive, _positive),
+    ks=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 100.0)), min_size=1, max_size=6, unique=True),
+    amplitude=st.floats(1e-6, 10.0),
+    duration=st.floats(1e-3, 100.0),
+    n_steps=st.integers(1, 2000),
+)
+def test_decoherence_scan_matches_explicit_pairs(medium, ks, amplitude, duration, n_steps):
+    params = MediumParams(*medium)
+    rows = decoherence_scan(params, ks, amplitude, duration, n_steps)
+    dt = duration / n_steps
+    expected = []
+    for k in sorted(ks):
+        res = decoherence_exponent(params, _pair(k, dt, np.full(n_steps + 1, amplitude),
+                                                 np.zeros(n_steps + 1)))
+        expected.append((k, res.total_exponent, res.magnitude, res.conserved_mode_diverged))
+    assert rows == expected
+    assert repr(rows) == repr(expected)
