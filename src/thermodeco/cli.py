@@ -22,6 +22,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .fieldspace import (
     sample_equilibrium_field,
     total_energy_fluctuation,
 )
-from .influence import decoherence_scan
+from .influence import decoherence_scan, noise_kernel_amplitude
 from .langevin import (
     METHOD_EULER,
     METHOD_EXACT,
@@ -176,6 +177,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if len(set(ks)) < len(ks):
             dup = next(k for k, count in Counter(ks).items() if count > 1)
             raise ConfigError(f"duplicate wavenumber {dup:g} in the scan")
+        positive = [k for k in ks if k > 0]
+        if positive:
+            _check_scan(cfg, params, min(positive))
     elif args.command == "field-sample":
         if cfg.n_fields < 2:
             raise ConfigError("n_fields must be >= 2")
@@ -184,6 +188,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         var = _finite("site variance T0^2/(c0*lattice_a^d)",
                       lambda: equilibrium_site_variance(params, template))
         _finite("n_sites * site variance", lambda: template.n_sites * var)
+        if cfg.noise_scale < 0:
+            raise ConfigError("noise_scale must be non-negative")
+        _finite("n_sites * site variance * noise_scale",
+                lambda: template.n_sites * var * cfg.noise_scale)
         _finite("energy variance V*c0*T0^2", lambda: equilibrium_energy_variance(params, template))
     return cfg
 
@@ -237,6 +245,17 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool)
                                   f"{acf:.3g} at lag {MIN_FIT_LAGS - 1} <= {FIT_THRESHOLD}")
 
 
+def _check_scan(cfg: RunConfig, params: MediumParams, k: float):
+    """A ConfigError if N_k or the exponent dt * N_k * scan_steps * amplitude^2 overflows at k.
+
+    Given the smallest positive k of the scan, whose exponent is the largest; the
+    factors are multiplied in the order decoherence_scan multiplies them.
+    """
+    n_k = _finite(f"noise kernel N_k at k={k:g}", lambda: noise_kernel_amplitude(params, k))
+    _finite(f"decoherence exponent at k={k:g}",
+            lambda: cfg.duration / cfg.scan_steps * n_k * (cfg.scan_steps * cfg.amplitude ** 2))
+
+
 def wavenumbers(cfg: RunConfig) -> list[float]:
     """The mode set: the explicit k_list, else the uniform grid."""
     if cfg.k_list:
@@ -280,25 +299,63 @@ def config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-def write_csv(path: Path, columns: list[str], rows: list[tuple], cfg: RunConfig):
+# table layouts: a trajectory of one mode, and a decoherence scan (the rows of decoherence_scan)
+TRAJ_COLUMNS = ["t", "delta_T"]
+DECO_DTYPE = np.dtype([("k", float), ("exponent", float), ("magnitude", float),
+                       ("conserved_flag", bool)])
+
+
+def write_csv(path: Path, columns: list[str], rows: np.ndarray, cfg: RunConfig):
     lines = []
     for key, val in config_echo(cfg).items():
         if isinstance(val, list):
             val = ",".join(_fmt(v) for v in val)
         lines.append(f"# {key}={_fmt(val)}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + _csv_rows(rows))
 
 
-def write_table(outdir: Path, stem: str, columns: list[str], rows: list[tuple], cfg: RunConfig):
-    """Table in the configured format: CSV (default) or a JSON row list."""
+def write_table(outdir: Path, stem: str, columns: list[str], rows: np.ndarray, cfg: RunConfig):
+    """Table in the configured format: CSV (default) or a JSON row list.
+
+    ``rows`` is a record array with one field per column; float fields are
+    written as numbers, other fields (bools) as _fmt writes them.
+    """
     if cfg.format == "json":
         write_json(outdir / f"{stem}.json", {"columns": columns, "rows": rows}, cfg)
     else:
         write_csv(outdir / f"{stem}.csv", columns, rows, cfg)
+
+
+def _interleave(rows: np.ndarray, float_cells) -> tuple:
+    """Every field of a record array, row after row: floats through float_cells, others by _fmt."""
+    fields = []
+    for name in rows.dtype.names:
+        values = rows[name].tolist()
+        fields.append(float_cells(values) if rows.dtype[name].kind == "f"
+                      else [_fmt(v) for v in values])
+    return tuple(chain.from_iterable(zip(*fields)))
+
+
+def _csv_rows(rows: np.ndarray) -> str:
+    """CSV lines of a record array by one template; '%.17g' writes a float as _fmt does."""
+    line = ",".join("%.17g" if rows.dtype[name].kind == "f" else "%s"
+                    for name in rows.dtype.names) + "\n"
+    return (line * len(rows)) % _interleave(rows, list)
+
+
+def _json_floats(values: list) -> list[str]:
+    """Floats as json writes them after _json_value: repr, a non-finite one as its quoted _fmt."""
+    return [repr(v) if math.isfinite(v) else json.dumps(_fmt(v)) for v in values]
+
+
+def _json_rows(rows: np.ndarray) -> str:
+    """A record array as the indent-2 JSON list of its rows, by one template."""
+    if len(rows) == 0:
+        return "[]"
+    item = "  [\n" + ",\n".join(["    %s"] * len(rows.dtype.names)) + "\n  ]"
+    return "[\n" + ",\n".join([item] * len(rows)) % _interleave(rows, _json_floats) + "\n]"
 
 
 def _json_value(x):
@@ -313,10 +370,16 @@ def _json_value(x):
 
 
 def write_json(path: Path, payload: dict, cfg: RunConfig):
-    payload = _json_value({**payload, "config": config_echo(cfg)})
+    """payload and the config echo as json.dumps(_json_value(...), indent=2, sort_keys=True)
+    writes them; a record array member (a table's rows) is written by _json_rows in the
+    same bytes, not by json's pure-Python indent encoder."""
+    payload = {**payload, "config": config_echo(cfg)}
+    members = (f"{json.dumps(key)}: " + (
+        _json_rows(val) if isinstance(val, np.ndarray)
+        else json.dumps(_json_value(val), indent=2, sort_keys=True, allow_nan=False))
+        for key, val in sorted(payload.items()))
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write("{\n  " + ",\n  ".join(m.replace("\n", "\n  ") for m in members) + "\n}\n")
 
 
 def _burn_in_steps(cfg: RunConfig, gamma: float) -> int:
@@ -372,8 +435,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     summary_modes = []
     for m, (spec, trajs) in enumerate(zip(modes, ensemble)):
         for i, hist in enumerate(trajs):
-            rows = [(float(t), float(v)) for t, v in zip(hist.times, hist.values)]
-            write_table(outdir, f"mode{m}_traj{i}", ["t", "delta_T"], rows, cfg)
+            rows = np.rec.fromarrays([hist.times, hist.values], names=TRAJ_COLUMNS)
+            write_table(outdir, f"mode{m}_traj{i}", TRAJ_COLUMNS, rows, cfg)
         summary_modes.append(_mode_summary(params, cfg, spec, trajs))
     write_json(outdir / "summary.json", {"modes": summary_modes}, cfg)
     return EXIT_OK
@@ -428,16 +491,16 @@ def cmd_fdr_verify(cfg: RunConfig) -> int:
 def cmd_deco_scan(cfg: RunConfig) -> int:
     params = medium(cfg)
     ks = wavenumbers(cfg)
-    rows = decoherence_scan(params, ks, cfg.amplitude, cfg.duration, n_steps=cfg.scan_steps)
-    exponents = [r[1] for r in rows]
-    for prev, nxt in zip(exponents, exponents[1:]):
-        if not prev > nxt:
-            print("internal consistency violation: exponent not strictly decreasing in k",
-                  file=sys.stderr)
-            return EXIT_INTERNAL
+    rows = np.array(decoherence_scan(params, ks, cfg.amplitude, cfg.duration,
+                                     n_steps=cfg.scan_steps), dtype=DECO_DTYPE)
+    exponents = rows["exponent"]
+    if not np.all(exponents[:-1] > exponents[1:]):
+        print("internal consistency violation: exponent not strictly decreasing in k",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_table(outdir, "deco_scan", ["k", "exponent", "magnitude", "conserved_flag"], rows, cfg)
+    write_table(outdir, "deco_scan", list(DECO_DTYPE.names), rows, cfg)
     return EXIT_OK
 
 
@@ -445,7 +508,7 @@ def cmd_field_sample(cfg: RunConfig) -> int:
     params = medium(cfg)
     template = lattice_template(cfg)
     stream = NoiseStream(0.0, cfg.seed, 0)
-    ensemble = sample_equilibrium_field(params, template, stream, cfg.n_fields)
+    ensemble = sample_equilibrium_field(params, template, stream, cfg.n_fields, cfg.noise_scale)
     st = total_energy_fluctuation(params, ensemble)
     expected = equilibrium_energy_variance(params, template)
     du_pass = _within_3sigma(st.variance, expected, st.stderr_variance)

@@ -95,13 +95,20 @@ def equilibrium_energy_variance(params: MediumParams, template: LatticeField) ->
 
 
 def sample_equilibrium_field(
-    params: MediumParams, template: LatticeField, stream: NoiseStream, n_fields: int = 1
+    params: MediumParams, template: LatticeField, stream: NoiseStream, n_fields: int = 1,
+    noise_scale: float = 1.0,
 ) -> LatticeField:
     """Exact draws from exp(-beta0 * dF), iid site Gaussians of variance T0^2 / (c0 *
-    cell_volume): one (n_fields, *extents) block, the Philox sequence of n_fields draws."""
+    cell_volume): one (n_fields, *extents) block, the Philox sequence of n_fields draws.
+
+    ``noise_scale`` multiplies the site variance, as it multiplies Gamma_k in
+    the Langevin runs; values != 1 sample a wrong equilibrium on purpose.
+    """
     if template.d != params.d:
         raise GridMismatchError("template dimension does not match the medium")
-    sigma = np.sqrt(equilibrium_site_variance(params, template))
+    if noise_scale < 0:
+        raise ValueError("noise_scale must be non-negative")
+    sigma = np.sqrt(equilibrium_site_variance(params, template) * noise_scale)
     return template.with_values(sigma * stream.normal((n_fields, *template.extents)))
 
 

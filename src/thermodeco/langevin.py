@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InsufficientDataError
 from .medium import MediumParams, ModeSpec, equilibrium_mode_variance, noise_strength, relaxation_rate
@@ -177,6 +176,10 @@ def simulate_mode(
     The initial amplitude (or its equilibrium draw) consumes the first
     sample of the substream; the n-th step consumes the (n+1)-th.
     """
+    # imported on first use: loading scipy.signal takes longer than the commands that
+    # never simulate a mode take in all
+    from scipy.signal import lfilter
+
     stream = NoiseStream(noise_strength(params, k) * cfg.noise_scale, cfg.seed, substream)
     if cfg.initial == SAMPLE_EQUILIBRIUM:
         x0 = math.sqrt(equilibrium_mode_variance(params) * cfg.noise_scale) * stream.normal()

@@ -1,13 +1,25 @@
 import json
 import math
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermodeco import ModeHistory, autocorrelation, fit_exponential_rate
-from thermodeco.cli import RunConfig, build_parser, main, resolve_config
+from thermodeco.cli import (
+    RunConfig,
+    _fmt,
+    _json_value,
+    build_parser,
+    config_echo,
+    main,
+    resolve_config,
+    write_table,
+)
 
 
 def read_json(path):
@@ -65,6 +77,11 @@ def test_bad_flag_exits_2():
     ["simulate", "--k", "1", "--t-end", "1e17", "--dt", "1"],
     ["field-sample", "--n-fields", "200000000000000000"],
     ["simulate", "--k", "1", "--t-end", "5", "--dt", "0.01", "--initial", "1e300", "--burn-in", "0"],
+    ["deco-scan", "--k", "1e-200"],
+    ["deco-scan", "--k", "0,1e-160,1"],
+    ["deco-scan", "--k", "1", "--amplitude", "1e160"],
+    ["field-sample", "--noise-scale", "-1"],
+    ["field-sample", "--T0", "1e150", "--noise-scale", "1e100"],
 ])
 def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -273,3 +290,58 @@ def test_field_sample_checks(tmp_path):
     assert report["expected_energy_variance"] == 64.0
     assert report["all_pass"] is True
     assert report["parseval_residual"] <= 1e-12
+
+
+def test_field_sample_noise_scale_fails_energy_gate(tmp_path):
+    args = ["field-sample", "--lattice-n", "64", "--n-fields", "2000", "--seed", "4"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--noise-scale", "2", "--out", str(tmp_path / "b")]) == 1
+    report = read_json(tmp_path / "b" / "field_summary.json")
+    assert report["energy_variance_pass"] is False
+    # the gate's expectation stays the unscaled equilibrium
+    assert report["expected_energy_variance"] == 64.0
+
+
+CELLS = {
+    float: st.floats(allow_subnormal=True)
+    | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan]),
+    int: st.integers(-2**63, 2**63 - 1),
+    bool: st.booleans(),
+}
+
+
+@st.composite
+def tables(draw, kinds=st.sampled_from(sorted(CELLS, key=str))):
+    """(column names, record array, the same rows as lists of Python values)."""
+    types = draw(st.lists(kinds, min_size=1, max_size=4))
+    n = draw(st.integers(0, 8))
+    cols = [draw(st.lists(CELLS[t], min_size=n, max_size=n)) for t in types]
+    names = [f"c{j}" for j in range(len(types))]
+    py_rows = [list(row) for row in zip(*cols)]
+    rows = np.array([tuple(r) for r in py_rows], dtype=list(zip(names, types)))
+    return names, rows, py_rows
+
+
+def _written(fmt: str, names, rows) -> str:
+    cfg = RunConfig(format=fmt)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_table(Path(tmp), "t", names, rows, cfg)
+        return (Path(tmp) / f"t.{fmt}").read_text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_json_table_matches_indent_encoder(table):
+    names, rows, py_rows = table
+    payload = {"columns": names, "rows": py_rows, "config": config_echo(RunConfig(format="json"))}
+    expected = json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert _written("json", names, rows) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(kinds=st.sampled_from([float, float, bool])))
+def test_csv_table_matches_per_value_fmt(table):
+    names, rows, py_rows = table
+    # the per-value join the template replaced
+    body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in py_rows)
+    assert _written("csv", names, rows).endswith("\n" + ",".join(names) + "\n" + body)
