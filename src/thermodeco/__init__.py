@@ -21,7 +21,6 @@ from .medium import (
     MediumParams,
     ModeSpec,
     coupling_constant,
-    equilibrium_log_density,
     equilibrium_mode_variance,
     free_energy_change,
     free_energy_hessian,
@@ -37,7 +36,6 @@ from .langevin import (
     NoiseStream,
     SimConfig,
     deterministic_decay,
-    draw_noise_increment,
     drift_residual,
     simulate_ensemble,
     simulate_mode,

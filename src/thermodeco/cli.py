@@ -169,6 +169,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     ks = wavenumbers(cfg)
     if ks and min(ks) < 0:
         raise ConfigError(f"wavenumbers must be non-negative, got {min(ks):g}")
+    if args.command == "fdr-verify" and cfg.n_traj > 1:
+        raise ConfigError(f"fdr-verify runs one trajectory per mode; n_traj must be 1, "
+                          f"got {cfg.n_traj}")
     if args.command in ("simulate", "fdr-verify"):
         _check_run(cfg, params, ks, args.command == "fdr-verify")
     elif args.command == "deco-scan":
@@ -179,7 +182,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"duplicate wavenumber {dup:g} in the scan")
         positive = [k for k in ks if k > 0]
         if positive:
-            _check_scan(cfg, params, min(positive))
+            _check_scan(cfg, params, min(positive), max(positive))
     elif args.command == "field-sample":
         if cfg.n_fields < 2:
             raise ConfigError("n_fields must be >= 2")
@@ -245,15 +248,22 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool)
                                   f"{acf:.3g} at lag {MIN_FIT_LAGS - 1} <= {FIT_THRESHOLD}")
 
 
-def _check_scan(cfg: RunConfig, params: MediumParams, k: float):
-    """A ConfigError if N_k or the exponent dt * N_k * scan_steps * amplitude^2 overflows at k.
+def _check_scan(cfg: RunConfig, params: MediumParams, k_low: float, k_high: float):
+    """A ConfigError unless the exponent dt * N_k * scan_steps * amplitude^2 is a positive
+    normal float over the scan.
 
-    Given the smallest positive k of the scan, whose exponent is the largest; the
-    factors are multiplied in the order decoherence_scan multiplies them.
+    Given the smallest and largest positive k, whose exponents are the largest and
+    smallest: at k_low N_k and the exponent must not overflow, at k_high the exponent must
+    not underflow.  The factors are multiplied in the order decoherence_scan multiplies them.
     """
-    n_k = _finite(f"noise kernel N_k at k={k:g}", lambda: noise_kernel_amplitude(params, k))
-    _finite(f"decoherence exponent at k={k:g}",
-            lambda: cfg.duration / cfg.scan_steps * n_k * (cfg.scan_steps * cfg.amplitude ** 2))
+    def exponent(k):
+        n_k = _finite(f"noise kernel N_k at k={k:g}", lambda: noise_kernel_amplitude(params, k))
+        return _finite(f"decoherence exponent at k={k:g}", lambda: cfg.duration / cfg.scan_steps
+                       * n_k * (cfg.scan_steps * cfg.amplitude ** 2))
+
+    exponent(k_low)
+    if not (smallest := exponent(k_high)) >= sys.float_info.min:
+        raise ConfigError(f"decoherence exponent at k={k_high:g} underflows to {smallest:g}")
 
 
 def wavenumbers(cfg: RunConfig) -> list[float]:

@@ -13,8 +13,12 @@ regardless of execution order or thread count.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 
 import numpy as np
 
@@ -107,16 +111,9 @@ class NoiseStream:
         key = np.array([self.seed, self.substream], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
-    def normal(self, size=None):
-        """Unit Gaussian draw(s), advancing the stream."""
-        return self.generator.standard_normal(size)
-
-
-def draw_noise_increment(stream: NoiseStream, dt: float) -> float:
-    """One step-averaged white-noise sample: N(0, 2 Gamma_k / dt)."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return math.sqrt(2.0 * stream.gamma / dt) * stream.normal()
+    def normal(self, size=None, out=None):
+        """Unit Gaussian draw(s), advancing the stream; into ``out`` if given."""
+        return self.generator.standard_normal(size, out=out)
 
 
 def step_euler_maruyama(
@@ -168,6 +165,34 @@ def _step_coefficients(params: MediumParams, k: float, method: str, dt: float,
     return alpha, scale
 
 
+_kernel_lock = threading.Lock()
+_kernel = None
+
+
+def _linear_filter():
+    """scipy's compiled lfilter recursion, called as lfilter calls it: (b, a, x, axis, zi).
+
+    Loaded once, on first use, from scipy's scipy/signal/_sigtools extension
+    alone: importing scipy.signal runs its __init__, which loads scipy.stats,
+    scipy.optimize and scipy.interpolate, about a second and 70 MiB, all to
+    reach this one function.
+    """
+    global _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            import scipy
+
+            stem = os.path.join(scipy.__path__[0], "signal", "_sigtools")
+            path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.exists(stem + s)), None)
+            if path is None:
+                raise ImportError(f"scipy has no compiled extension {stem}")
+            loader = ExtensionFileLoader("scipy.signal._sigtools", path)
+            module = module_from_spec(spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            _kernel = module._linear_filter
+    return _kernel
+
+
 def simulate_mode(
     params: MediumParams, k: float, cfg: SimConfig, substream: int = 0
 ) -> ModeHistory:
@@ -176,10 +201,6 @@ def simulate_mode(
     The initial amplitude (or its equilibrium draw) consumes the first
     sample of the substream; the n-th step consumes the (n+1)-th.
     """
-    # imported on first use: loading scipy.signal takes longer than the commands that
-    # never simulate a mode take in all
-    from scipy.signal import lfilter
-
     stream = NoiseStream(noise_strength(params, k) * cfg.noise_scale, cfg.seed, substream)
     if cfg.initial == SAMPLE_EQUILIBRIUM:
         x0 = math.sqrt(equilibrium_mode_variance(params) * cfg.noise_scale) * stream.normal()
@@ -187,13 +208,15 @@ def simulate_mode(
         x0 = float(cfg.initial)
     n = cfg.n_steps
     alpha, scale = _step_coefficients(params, k, cfg.method, cfg.dt, cfg.noise_scale)
-    incr = scale * stream.normal(n)
-    # linear recursion y_n = alpha * y_{n-1} + incr_n; same arithmetic as the
-    # scalar steppers, evaluated by lfilter for speed
-    traj, _ = lfilter([1.0], [1.0, -alpha], incr, zi=np.array([alpha * x0]))
-    values = np.empty(n + 1)
-    values[0] = x0
-    values[1:] = traj
+    # buf holds x0, then the increments scale * n_i.  The recursion y_i = alpha * y_{i-1} + buf_i
+    # from the state -0.0 is the history in the scalar steppers' arithmetic: adding -0.0 is
+    # exact, so y_0 is x0 to the bit, -0.0 included.
+    buf = np.empty(n + 1)
+    buf[0] = x0
+    stream.normal(out=buf[1:])
+    buf[1:] *= scale
+    values, _ = _linear_filter()(np.array([1.0]), np.array([1.0, -alpha]), buf, -1,
+                                 np.array([-0.0]))
     return ModeHistory(k=k, dt=cfg.dt, values=values)
 
 

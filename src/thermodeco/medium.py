@@ -172,11 +172,6 @@ def free_energy_change(params: MediumParams, fld: LatticeField):
     return params.c0 / (2.0 * params.T0) * fld.cell_volume * fld.site_sum(fld.values ** 2)
 
 
-def equilibrium_log_density(params: MediumParams, fld: LatticeField) -> float:
-    """Unnormalized log-probability -beta0 * free_energy_change of the field."""
-    return -params.beta0 * free_energy_change(params, fld)
-
-
 def free_energy_hessian(
     params: MediumParams, fld: LatticeField, step: float | None = None
 ) -> np.ndarray:

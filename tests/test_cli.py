@@ -82,6 +82,9 @@ def test_bad_flag_exits_2():
     ["deco-scan", "--k", "1", "--amplitude", "1e160"],
     ["field-sample", "--noise-scale", "-1"],
     ["field-sample", "--T0", "1e150", "--noise-scale", "1e100"],
+    ["deco-scan", "--k", "1,2", "--amplitude", "1e-200"],
+    ["fdr-verify", "--k", "1", "--t-end", "200", "--n-traj", "8"],
+    ["deco-scan", "--k", "1,1e200"],
 ])
 def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "o"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermodeco import (
     METHOD_EULER,
@@ -11,13 +13,13 @@ from thermodeco import (
     NoiseStream,
     SimConfig,
     deterministic_decay,
-    draw_noise_increment,
     drift_residual,
     simulate_ensemble,
     simulate_mode,
     step_euler_maruyama,
     step_exact_ou,
 )
+from thermodeco.langevin import _linear_filter
 
 UNIT = MediumParams(T0=1.0, c0=1.0, D0=1.0)
 
@@ -38,21 +40,6 @@ def test_noise_stream_reproducible():
     assert np.array_equal(a.normal(100), b.normal(100))
     c = NoiseStream(1.0, seed=42, substream=4)
     assert not np.array_equal(NoiseStream(1.0, 42, 3).normal(100), c.normal(100))
-
-
-def test_draw_noise_increment_zero_gamma():
-    s = NoiseStream(0.0, seed=0)
-    assert all(draw_noise_increment(s, 0.1) == 0.0 for _ in range(10))
-
-
-def test_draw_noise_increment_moments():
-    # 2*Gamma/dt = 20 for Gamma=1, dt=0.1
-    s = NoiseStream(1.0, seed=7)
-    draws = np.array([draw_noise_increment(s, 0.1) for _ in range(10_000)])
-    n = draws.size
-    assert abs(draws.mean()) <= 3 * math.sqrt(20.0 / n)
-    # stderr of the variance of N(0,20): 20*sqrt(2/n)
-    assert abs(np.var(draws, ddof=1) - 20.0) <= 3 * 20.0 * math.sqrt(2.0 / n)
 
 
 def test_euler_step_deterministic_branch():
@@ -114,18 +101,47 @@ def test_simulate_mode_deterministic_given_seed():
     assert np.array_equal(h1.values, h2.values)
 
 
-@pytest.mark.parametrize("method", [METHOD_EXACT, METHOD_EULER])
-def test_simulate_mode_matches_scalar_stepping(method):
+@pytest.mark.parametrize("method, k, initial", [
+    pytest.param(METHOD_EXACT, 1.0, 0.3, id=METHOD_EXACT),
+    pytest.param(METHOD_EULER, 1.0, 0.3, id=METHOD_EULER),
+    pytest.param(METHOD_EXACT, 1.0, -0.0, id=f"{METHOD_EXACT}-initial-minus-zero"),
+    pytest.param(METHOD_EULER, 1.0, -0.0, id=f"{METHOD_EULER}-initial-minus-zero"),
+    pytest.param(METHOD_EXACT, 0.0, -0.0, id=f"{METHOD_EXACT}-k0-initial-minus-zero"),
+    pytest.param(METHOD_EULER, 0.0, -0.0, id=f"{METHOD_EULER}-k0-initial-minus-zero"),
+])
+def test_simulate_mode_matches_scalar_stepping(method, k, initial):
     step = {METHOD_EXACT: step_exact_ou, METHOD_EULER: step_euler_maruyama}[method]
-    cfg = SimConfig(dt=0.1, t_end=2.0, method=method, seed=5, initial=0.3)
-    hist = simulate_mode(UNIT, 1.0, cfg)
+    cfg = SimConfig(dt=0.1, t_end=2.0, method=method, seed=5, initial=initial)
+    hist = simulate_mode(UNIT, k, cfg)
     stream = NoiseStream(1.0, seed=5, substream=0)
-    x = 0.3
+    x = initial
     vals = [x]
     for _ in range(cfg.n_steps):
-        x = step(UNIT, 1.0, x, cfg.dt, stream)
+        x = step(UNIT, k, x, cfg.dt, stream)
         vals.append(x)
-    assert np.array_equal(hist.values, np.array(vals))
+    # bytes, not just ==: at k = 0 (alpha 1, scale 0) the sign of each zero is the stepper's
+    assert hist.values.tobytes() == np.array(vals).tobytes()
+
+
+# alpha = e^(-gamma dt) or 1 - gamma dt: the ends, both zeros and subnormals, then any
+EDGE_ALPHAS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -1e-310]
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.one_of(st.sampled_from(EDGE_ALPHAS), st.floats(-1.0, 1.0)),
+       zi=st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e3, 1e3)),
+       n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1))
+def test_linear_filter_kernel_matches_lfilter(alpha, zi, n, seed):
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x[rng.random(n) < 0.05] = 0.0
+    x[rng.random(n) < 0.05] = -0.0
+    b, a, z = np.array([1.0]), np.array([1.0, -alpha]), np.array([zi])
+    out, zf = _linear_filter()(b, a, x, -1, z)
+    ref, ref_zf = lfilter(b, a, x, zi=z)
+    assert out.tobytes() == ref.tobytes() and zf.tobytes() == ref_zf.tobytes()
 
 
 def test_simulate_mode_stationary_variance():

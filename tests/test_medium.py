@@ -8,7 +8,6 @@ from thermodeco import (
     ModeSpec,
     SingularModeError,
     coupling_constant,
-    equilibrium_log_density,
     equilibrium_mode_variance,
     free_energy_change,
     free_energy_hessian,
@@ -126,18 +125,6 @@ def test_free_energy_quadratic_scaling():
         assert free_energy_change(UNIT, fld.with_values(lam * fld.values)) == pytest.approx(
             lam ** 2 * f1, rel=1e-14
         )
-
-
-def test_log_density_examples():
-    assert equilibrium_log_density(UNIT, LatticeField(1, (1,), 1.0, [2.0])) == -2.0
-    rng = np.random.default_rng(5)
-    fld = LatticeField(1, (6,), 1.0, rng.normal(size=6))
-    base = equilibrium_log_density(UNIT, fld)
-    assert equilibrium_log_density(UNIT, fld.with_values(2 * fld.values)) == pytest.approx(4 * base, rel=1e-14)
-    # maximized at the zero field
-    zero = fld.with_values(np.zeros(6))
-    assert equilibrium_log_density(UNIT, zero) == 0.0
-    assert base <= 0.0
 
 
 def test_hessian_matches_analytic():
