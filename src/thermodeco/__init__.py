@@ -24,7 +24,6 @@ from .medium import (
     equilibrium_mode_variance,
     free_energy_change,
     free_energy_hessian,
-    free_energy_hessian_check,
     noise_strength,
     relaxation_rate,
 )

@@ -22,6 +22,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -74,6 +75,10 @@ EXIT_INTERNAL = 4
 
 class ConfigError(Exception):
     pass
+
+
+class ConsistencyViolation(Exception):
+    """A result that contradicts what the physics guarantees: exit 4."""
 
 
 @dataclass
@@ -165,37 +170,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         for v in val if isinstance(val, list) else [val]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
-    params = medium(cfg)
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigError(f"seed must be in [0, 2^64 - 1], got {cfg.seed}")
+    for name in ("burn_in", "rate_tol", "max_lag"):
+        if (value := getattr(cfg, name)) is not None and value < 0:
+            raise ConfigError(f"{name} must be non-negative, got {value}")
     ks = wavenumbers(cfg)
     if ks and min(ks) < 0:
         raise ConfigError(f"wavenumbers must be non-negative, got {min(ks):g}")
-    if args.command == "fdr-verify" and cfg.n_traj > 1:
-        raise ConfigError(f"fdr-verify runs one trajectory per mode; n_traj must be 1, "
-                          f"got {cfg.n_traj}")
-    if args.command in ("simulate", "fdr-verify"):
-        _check_run(cfg, params, ks, args.command == "fdr-verify")
-    elif args.command == "deco-scan":
-        if not (cfg.amplitude > 0 and cfg.duration > 0 and cfg.scan_steps >= 1):
-            raise ConfigError("amplitude and duration must be positive, scan_steps >= 1")
-        if len(set(ks)) < len(ks):
-            dup = next(k for k, count in Counter(ks).items() if count > 1)
-            raise ConfigError(f"duplicate wavenumber {dup:g} in the scan")
-        positive = [k for k in ks if k > 0]
-        if positive:
-            _check_scan(cfg, params, min(positive), max(positive))
-    elif args.command == "field-sample":
-        if cfg.n_fields < 2:
-            raise ConfigError("n_fields must be >= 2")
-        template = lattice_template(cfg)  # LatticeField checks lattice_n and lattice_a
-        _check_array_size("n_fields * lattice_n^d site values", cfg.n_fields * template.n_sites)
-        var = _finite("site variance T0^2/(c0*lattice_a^d)",
-                      lambda: equilibrium_site_variance(params, template))
-        _finite("n_sites * site variance", lambda: template.n_sites * var)
-        if cfg.noise_scale < 0:
-            raise ConfigError("noise_scale must be non-negative")
-        _finite("n_sites * site variance * noise_scale",
-                lambda: template.n_sites * var * cfg.noise_scale)
-        _finite("energy variance V*c0*T0^2", lambda: equilibrium_energy_variance(params, template))
     return cfg
 
 
@@ -216,13 +198,16 @@ def _check_array_size(what: str, n_values: int):
         raise ConfigError(f"{what} exceed numpy's array size limit of {limit} bytes")
 
 
-def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool):
+def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool = False):
     """Time-grid, overflow and stability constraints of a simulated run.
 
-    ``fdr`` also requires what the fdr-verify rate fit needs of every damped
-    mode: MIN_FIT_LAGS ACF lags after burn-in within max_lag, the expected
-    ACF above FIT_THRESHOLD at the last of them.
+    ``fdr`` also requires one trajectory per mode and what the fdr-verify rate
+    fit needs of every damped mode: MIN_FIT_LAGS ACF lags after burn-in within
+    max_lag, the expected ACF above FIT_THRESHOLD at the last of them.
     """
+    if fdr and cfg.n_traj > 1:
+        raise ConfigError(f"fdr-verify runs one trajectory per mode; n_traj must be 1, "
+                          f"got {cfg.n_traj}")
     n_samples = _finite("number of steps t_end/dt", lambda: sim_config(cfg).n_steps) + 1
     _check_array_size("t_end/dt + 1 samples per trajectory", n_samples)
     _finite("equilibrium variance T0^2/c0", lambda: equilibrium_mode_variance(params))
@@ -236,34 +221,67 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool)
         if cfg.method == METHOD_EULER and gamma > 0 and abs(alpha) >= 1.0:
             raise ConfigError(f"euler-maruyama is unstable at k={k:g}: gamma*dt = "
                               f"{gamma * cfg.dt:g} >= 2; lower dt or use {METHOD_EXACT}")
-        if fdr and gamma > 0:
-            n_burn = _burn_in_steps(cfg, gamma)
+        n_burn = _finite(f"burn-in steps (burn_in or 10/gamma)/dt at k={k:g}",
+                         lambda: _burn_in_steps(cfg, gamma))
+        if fdr and k > 0:
             if min(n_samples - n_burn, cfg.max_lag + 1) < MIN_FIT_LAGS:
                 raise ConfigError(f"too few lags for the rate fit at k={k:g}: {n_samples} samples, "
                                   f"{n_burn} of them burn-in, max_lag = {cfg.max_lag}; "
                                   f"need {MIN_FIT_LAGS}")
+            if not gamma * cfg.dt > 0:
+                raise ConfigError(f"gamma*dt at k={k:g} underflows to 0: no decay for the rate fit")
             acf = math.exp(-(MIN_FIT_LAGS - 1) * gamma * cfg.dt)
             if acf <= FIT_THRESHOLD:
                 raise ConfigError(f"dt too coarse for the rate fit at k={k:g}: expected ACF "
                                   f"{acf:.3g} at lag {MIN_FIT_LAGS - 1} <= {FIT_THRESHOLD}")
 
 
-def _check_scan(cfg: RunConfig, params: MediumParams, k_low: float, k_high: float):
-    """A ConfigError unless the exponent dt * N_k * scan_steps * amplitude^2 is a positive
-    normal float over the scan.
+def _check_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
+    """A ConfigError unless the scan's settings are positive, its wavenumbers distinct and
+    the exponent dt * N_k * scan_steps * amplitude^2 a positive normal float over the scan.
 
-    Given the smallest and largest positive k, whose exponents are the largest and
-    smallest: at k_low N_k and the exponent must not overflow, at k_high the exponent must
-    not underflow.  The factors are multiplied in the order decoherence_scan multiplies them.
+    The smallest and largest positive k have the largest and smallest exponents: at
+    k_low N_k and the exponent must not overflow, at k_high the exponent must not
+    underflow.  The factors are multiplied in the order decoherence_scan multiplies them.
     """
-    def exponent(k):
-        n_k = _finite(f"noise kernel N_k at k={k:g}", lambda: noise_kernel_amplitude(params, k))
-        return _finite(f"decoherence exponent at k={k:g}", lambda: cfg.duration / cfg.scan_steps
-                       * n_k * (cfg.scan_steps * cfg.amplitude ** 2))
+    if not (cfg.amplitude > 0 and cfg.duration > 0 and cfg.scan_steps >= 1):
+        raise ConfigError("amplitude and duration must be positive, scan_steps >= 1")
+    _check_array_size("scan_steps + 1 branch-difference samples", cfg.scan_steps + 1)
+    if len(set(ks)) < len(ks):
+        dup = next(k for k, count in Counter(ks).items() if count > 1)
+        raise ConfigError(f"duplicate wavenumber {dup:g} in the scan")
+    positive = [k for k in ks if k > 0]
+    if not positive:
+        return
+    k_low, k_high = min(positive), max(positive)
 
-    exponent(k_low)
-    if not (smallest := exponent(k_high)) >= sys.float_info.min:
+    def exponent(n_k):
+        return cfg.duration / cfg.scan_steps * n_k * (cfg.scan_steps * cfg.amplitude ** 2)
+
+    n_k = _finite(f"noise kernel N_k at k={k_low:g}", lambda: noise_kernel_amplitude(params, k_low))
+    _finite(f"decoherence exponent at k={k_low:g}", lambda: exponent(n_k))
+    try:
+        smallest = exponent(noise_kernel_amplitude(params, k_high))
+    except OverflowError:  # k_high ** 2 overflows, so N_k and the exponent underflow
+        smallest = 0.0
+    if not smallest >= sys.float_info.min:
         raise ConfigError(f"decoherence exponent at k={k_high:g} underflows to {smallest:g}")
+
+
+def _check_fields(cfg: RunConfig, params: MediumParams, ks: list[float]):
+    """Ensemble size and overflow constraints of a lattice sample."""
+    if cfg.n_fields < 2:
+        raise ConfigError("n_fields must be >= 2")
+    template = lattice_template(cfg)  # LatticeField checks lattice_n and lattice_a
+    _check_array_size("n_fields * lattice_n^d site values", cfg.n_fields * template.n_sites)
+    var = _finite("site variance T0^2/(c0*lattice_a^d)",
+                  lambda: equilibrium_site_variance(params, template))
+    _finite("n_sites * site variance", lambda: template.n_sites * var)
+    if cfg.noise_scale < 0:
+        raise ConfigError("noise_scale must be non-negative")
+    _finite("n_sites * site variance * noise_scale",
+            lambda: template.n_sites * var * cfg.noise_scale)
+    _finite("energy variance V*c0*T0^2", lambda: equilibrium_energy_variance(params, template))
 
 
 def wavenumbers(cfg: RunConfig) -> list[float]:
@@ -273,17 +291,9 @@ def wavenumbers(cfg: RunConfig) -> list[float]:
     return [cfg.k_min + i * cfg.dk for i in range(cfg.k_count)]
 
 
-def mode_set(cfg: RunConfig) -> list[ModeSpec]:
-    return [ModeSpec(k=k, weight=1.0) for k in wavenumbers(cfg)]
-
-
 def sim_config(cfg: RunConfig) -> SimConfig:
     return SimConfig(dt=cfg.dt, t_end=cfg.t_end, method=cfg.method, seed=cfg.seed,
                      initial=cfg.initial, noise_scale=cfg.noise_scale)
-
-
-def medium(cfg: RunConfig) -> MediumParams:
-    return MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
 
 
 def lattice_template(cfg: RunConfig) -> LatticeField:
@@ -435,37 +445,27 @@ def _mode_summary(params: MediumParams, cfg: RunConfig, spec: ModeSpec, trajs: l
     return entry
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    params = medium(cfg)
-    modes = mode_set(cfg)
-    sim = sim_config(cfg)
-    ensemble = simulate_ensemble(params, modes, cfg.n_traj, sim, n_workers=cfg.workers)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def run_simulate(cfg: RunConfig, params: MediumParams):
+    modes = [ModeSpec(k) for k in wavenumbers(cfg)]
+    ensemble = simulate_ensemble(params, modes, cfg.n_traj, sim_config(cfg), n_workers=cfg.workers)
     summary_modes = []
     for m, (spec, trajs) in enumerate(zip(modes, ensemble)):
         for i, hist in enumerate(trajs):
-            rows = np.rec.fromarrays([hist.times, hist.values], names=TRAJ_COLUMNS)
-            write_table(outdir, f"mode{m}_traj{i}", TRAJ_COLUMNS, rows, cfg)
+            yield f"mode{m}_traj{i}", np.rec.fromarrays([hist.times, hist.values], names=TRAJ_COLUMNS)
         summary_modes.append(_mode_summary(params, cfg, spec, trajs))
-    write_json(outdir / "summary.json", {"modes": summary_modes}, cfg)
-    return EXIT_OK
+    yield "summary", {"modes": summary_modes}
 
 
-def cmd_fdr_verify(cfg: RunConfig) -> int:
-    params = medium(cfg)
-    modes = mode_set(cfg)
+def run_fdr_verify(cfg: RunConfig, params: MediumParams):
     sim = sim_config(cfg)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     report = []
     all_pass = True
-    for m, spec in enumerate(modes):
-        if spec.k == 0.0:
+    for k in wavenumbers(cfg):
+        if k == 0.0:
             report.append({"k": 0.0, "skipped": "conserved mode (zero rate, zero noise)"})
             continue
-        hist = simulate_ensemble(params, [spec], 1, sim, n_workers=cfg.workers)[0][0]
-        gamma = relaxation_rate(params, spec.k)
+        hist = simulate_ensemble(params, [ModeSpec(k)], 1, sim, n_workers=cfg.workers)[0][0]
+        gamma = relaxation_rate(params, k)
         n_burn = _burn_in_steps(cfg, gamma)
         post = hist.values[n_burn:]
         st = sample_variance(post)
@@ -473,14 +473,14 @@ def cmd_fdr_verify(cfg: RunConfig) -> int:
         stderr = variance_stderr_correlated(expected, st.n, gamma, cfg.dt)
         var_pass = _within_3sigma(st.variance, expected, stderr)
         entry = {
-            "k": spec.k,
+            "k": k,
             "variance": st.variance,
             "expected_variance": expected,
             "stderr_variance": stderr,
             "variance_pass": var_pass,
         }
         try:
-            fitted = _fit_rate(cfg, spec.k, post)
+            fitted = _fit_rate(cfg, k, post)
             # statistical floor: sd(rate)/rate ~ sqrt(2 tau / T) for a run of
             # T time units with correlation time tau = 1/gamma
             rel_sd = math.sqrt(2.0 / (gamma * post.size * cfg.dt))
@@ -494,28 +494,23 @@ def cmd_fdr_verify(cfg: RunConfig) -> int:
             rate_pass = False
         all_pass = all_pass and var_pass and rate_pass
         report.append(entry)
-    write_json(outdir / "fdr_report.json", {"tests": report, "all_pass": all_pass}, cfg)
-    return EXIT_OK if all_pass else EXIT_STAT_FAIL
+    yield "fdr_report", {"tests": report, "all_pass": all_pass}
 
 
-def cmd_deco_scan(cfg: RunConfig) -> int:
-    params = medium(cfg)
-    ks = wavenumbers(cfg)
-    rows = np.array(decoherence_scan(params, ks, cfg.amplitude, cfg.duration,
+def run_deco_scan(cfg: RunConfig, params: MediumParams):
+    rows = np.array(decoherence_scan(params, wavenumbers(cfg), cfg.amplitude, cfg.duration,
                                      n_steps=cfg.scan_steps), dtype=DECO_DTYPE)
     exponents = rows["exponent"]
-    if not np.all(exponents[:-1] > exponents[1:]):
-        print("internal consistency violation: exponent not strictly decreasing in k",
-              file=sys.stderr)
-        return EXIT_INTERNAL
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_table(outdir, "deco_scan", list(DECO_DTYPE.names), rows, cfg)
-    return EXIT_OK
+    if not np.all(exponents[:-1] >= exponents[1:]):
+        raise ConsistencyViolation("exponent not strictly decreasing in k")
+    if (ties := np.flatnonzero(exponents[:-1] == exponents[1:])).size:
+        k_a, k_b = rows["k"][ties[0]:ties[0] + 2].tolist()
+        raise ConfigError(f"wavenumbers {k_a!r} and {k_b!r} are too close: their exponents are "
+                          f"equal in double precision")
+    yield "deco_scan", rows
 
 
-def cmd_field_sample(cfg: RunConfig) -> int:
-    params = medium(cfg)
+def run_field_sample(cfg: RunConfig, params: MediumParams):
     template = lattice_template(cfg)
     stream = NoiseStream(0.0, cfg.seed, 0)
     ensemble = sample_equilibrium_field(params, template, stream, cfg.n_fields, cfg.noise_scale)
@@ -532,9 +527,7 @@ def cmd_field_sample(cfg: RunConfig) -> int:
     stderr_df = math.sqrt(template.n_sites / 2.0) * params.T0 / math.sqrt(cfg.n_fields)
     equip_pass = _within_3sigma(mean_df, expected_df, stderr_df)
 
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_json(outdir / "field_summary.json", {
+    yield "field_summary", {
         "energy_variance": st.variance,
         "energy_variance_stderr": st.stderr_variance,
         "expected_energy_variance": expected,
@@ -545,8 +538,33 @@ def cmd_field_sample(cfg: RunConfig) -> int:
         "expected_mean_free_energy": expected_df,
         "equipartition_pass": equip_pass,
         "all_pass": du_pass and parseval_pass and equip_pass,
-    }, cfg)
-    return EXIT_OK if (du_pass and parseval_pass and equip_pass) else EXIT_STAT_FAIL
+    }
+
+
+def _write(cfg: RunConfig, outputs) -> int:
+    """Write each (stem, output) a run yields into --out, created at the first output: a
+    record array as a table, a dict as a JSON report.  Exit 1 if a report does not pass."""
+    outdir = Path(cfg.out)
+    code = EXIT_OK
+    for stem, output in outputs:
+        outdir.mkdir(parents=True, exist_ok=True)
+        if isinstance(output, dict):
+            write_json(outdir / f"{stem}.json", output, cfg)
+            if not output.get("all_pass", True):
+                code = EXIT_STAT_FAIL
+        else:
+            write_table(outdir, stem, list(output.dtype.names), output, cfg)
+    return code
+
+
+# each subcommand's check(cfg, params, wavenumbers), which raises ConfigError before
+# anything runs, and run(cfg, params), which yields the outputs _write writes
+_COMMANDS = {
+    "simulate": (_check_run, run_simulate),
+    "fdr-verify": (partial(_check_run, fdr=True), run_fdr_verify),
+    "deco-scan": (_check_scan, run_deco_scan),
+    "field-sample": (_check_fields, run_field_sample),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,33 +582,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "fdr-verify": cmd_fdr_verify,
-    "deco-scan": cmd_deco_scan,
-    "field-sample": cmd_field_sample,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
+    check, run = _COMMANDS[args.command]
     try:
         cfg = resolve_config(args)
+        params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
+        check(cfg, params, wavenumbers(cfg))
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg)
+        return _write(cfg, run(cfg, params))
+    except ConfigError as exc:
+        code, message = EXIT_CONFIG, f"config error: {exc}"
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, f"i/o error: {exc}"
     except MemoryError as exc:
-        print(f"config error: run does not fit in memory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, f"config error: run does not fit in memory: {exc}"
+    except ConsistencyViolation as exc:
+        code, message = EXIT_INTERNAL, f"internal consistency violation: {exc}"
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

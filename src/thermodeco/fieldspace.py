@@ -80,7 +80,7 @@ def parseval_check(fld: LatticeField) -> float:
     lhs = fld.cell_volume * float(np.sum(fld.values ** 2))
     spec = to_modes(fld)
     rhs = spec.volume * float(np.sum(np.abs(spec.coefficients) ** 2))
-    denom = max(lhs, rhs, np.finfo(float).tiny)
+    denom = max(lhs, rhs, float(np.finfo(float).tiny))
     return abs(lhs - rhs) / denom
 
 

@@ -96,15 +96,15 @@ class LatticeField:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.extents))
+        return math.prod(self.extents)
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     @property
     def volume(self) -> float:
-        return float(np.prod(np.asarray(self.extents) * np.asarray(self.spacing)))
+        return math.prod(n * a for n, a in zip(self.extents, self.spacing))
 
     def site_sum(self, x: np.ndarray):
         """Sum of ``x``, shaped like ``values``, over the sites: a float, or (n,) for n fields."""
@@ -201,20 +201,3 @@ def free_energy_hessian(
         fpp, fpm, fmp, fmm = f(np.concatenate([ui + uj, ui - uj, uj - ui, -ui - uj])).reshape(4, -1)
         hess[i, i + 1:] = hess[i + 1:, i] = (fpp - fpm - fmp + fmm) / (4.0 * step ** 2)
     return hess
-
-
-def free_energy_hessian_check(
-    params: MediumParams, fld: LatticeField, step: float | None = None
-) -> float:
-    """Max relative residual of the numerical Hessian against its analytic form.
-
-    The analytic Hessian is (c0/T0) * cell_volume on the diagonal and zero
-    off the diagonal (sites are uncoupled).  Off-diagonal entries are
-    measured against zero, normalized by the diagonal value.
-    """
-    hess = free_energy_hessian(params, fld, step)
-    target = params.c0 / params.T0 * fld.cell_volume
-    diag_res = np.max(np.abs(np.diag(hess) - target)) / target
-    off = hess - np.diag(np.diag(hess))
-    off_res = np.max(np.abs(off)) / target if hess.shape[0] > 1 else 0.0
-    return float(max(diag_res, off_res))

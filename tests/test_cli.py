@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -85,6 +87,14 @@ def test_bad_flag_exits_2():
     ["deco-scan", "--k", "1,2", "--amplitude", "1e-200"],
     ["fdr-verify", "--k", "1", "--t-end", "200", "--n-traj", "8"],
     ["deco-scan", "--k", "1,1e200"],
+    ["deco-scan", "--k", "1.1969,1.1969000000000003"],
+    ["simulate", "--k", "1", "--t-end", "5", "--seed", "-1"],
+    ["field-sample", "--seed", "-1"],
+    ["simulate", "--k", "1", "--t-end", "5", "--seed", "18446744073709551616"],
+    ["simulate", "--k", "1", "--t-end", "5", "--burn-in", "-1"],
+    ["fdr-verify", "--k", "1", "--t-end", "400", "--rate-tol", "-0.1"],
+    ["simulate", "--k", "1", "--t-end", "5", "--max-lag", "-5"],
+    ["deco-scan", "--k", "1", "--scan-steps", "18446744073709551616"],
 ])
 def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -266,6 +276,25 @@ def test_deco_scan_duplicate_k_exits_2(tmp_path, capsys):
     assert "duplicate wavenumber" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ks, message", [
+    ("1,1e200", "decoherence exponent at k=1e+200 underflows to 0"),
+    ("1.1969,1.1969000000000003", "wavenumbers 1.1969 and 1.1969000000000003 are too close"),
+])
+def test_deco_scan_unresolvable_k_exits_2(tmp_path, capsys, ks, message):
+    assert main(["deco-scan", "--k", ks, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_deco_scan_increasing_exponent_exits_4(tmp_path, capsys, monkeypatch):
+    rows = [(1.0, 0.1, math.exp(-0.1), False), (2.0, 0.2, math.exp(-0.2), False)]
+    monkeypatch.setattr("thermodeco.cli.decoherence_scan", lambda *args, **kwargs: rows)
+    out = tmp_path / "o"
+    assert main(["deco-scan", "--k", "1,2", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal consistency violation: exponent not strictly decreasing in k\n"
+    assert not out.exists()
+
+
 def test_json_format_tables(tmp_path):
     out = tmp_path / "o"
     rc = main(["deco-scan", "--k", "1,2", "--amplitude", "0.1", "--duration", "10",
@@ -348,3 +377,54 @@ def test_csv_table_matches_per_value_fmt(table):
     # the per-value join the template replaced
     body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in py_rows)
     assert _written("csv", names, rows).endswith("\n" + ",".join(names) + "\n" + body)
+
+
+# hostile values for any key: zero, negative, huge, tiny, non-finite and non-numeric
+HOSTILE = st.sampled_from(["0", "-1", "-0.5", "1e300", "1e-300", "5e-324", "nan", "-inf", "x", ""])
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and a value for every key, up to three of them hostile.
+
+    The other values keep an accepted run small: t_end/dt <= 2000 samples, at most
+    5 modes, 3 trajectories, 50 fields of 8^d sites, 100 scan steps and 3 worker threads.
+    The seed ranges one past each end of [0, 2^64 - 1].
+    """
+    t_end = draw(st.floats(0.01, 20.0))
+    positive = st.floats(0.1, 10.0)
+    plain = {
+        "T0": positive, "c0": positive, "D0": positive, "d": st.integers(1, 3),
+        "k_list": st.lists(st.floats(0.0, 5.0), max_size=5).map(lambda ks: ",".join(map(str, ks))),
+        "k_min": st.floats(0.0, 5.0), "dk": st.floats(0.0, 5.0), "k_count": st.integers(0, 5),
+        "dt": st.floats(t_end / 2000, 2 * t_end), "t_end": st.just(t_end),
+        "method": st.sampled_from(["exact-ou", "euler-maruyama"]),
+        "burn_in": st.one_of(st.just("auto"), st.floats(0.0, 5.0)), "n_traj": st.integers(1, 3),
+        "initial": st.one_of(st.just("sample-equilibrium"), st.floats(-5.0, 5.0)),
+        "noise_scale": st.floats(0.0, 3.0), "rate_tol": st.floats(0.0, 1.0),
+        "max_lag": st.integers(0, 500), "amplitude": st.floats(0.01, 1.0),
+        "duration": st.floats(0.1, 20.0), "scan_steps": st.integers(1, 100),
+        "lattice_n": st.integers(1, 8), "lattice_a": st.floats(0.1, 2.0),
+        "n_fields": st.integers(2, 50), "seed": st.integers(-1, 2 ** 64),
+        "format": st.sampled_from(["csv", "json"]), "workers": st.integers(1, 3),
+    }
+    values = {key: str(draw(strategy)) for key, strategy in plain.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(plain)), max_size=3, unique=True)):
+        values[key] = draw(HOSTILE)
+    command = draw(st.sampled_from(["simulate", "fdr-verify", "deco-scan", "field-sample"]))
+    flags = ("--k" if key == "k_list" else "--" + key.replace("_", "-") for key in values)
+    return [command] + [f"{flag}={value}" for flag, value in zip(flags, values.values())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_cli_exit_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv + ["--out", str(out)])
+        assert rc in (0, 1, 2, 3, 4)
+        if rc == 2:
+            assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+            assert not out.exists()
