@@ -175,6 +175,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for name in ("burn_in", "rate_tol", "max_lag"):
         if (value := getattr(cfg, name)) is not None and value < 0:
             raise ConfigError(f"{name} must be non-negative, got {value}")
+    _check_array_size("k_count wavenumbers", cfg.k_count)
     ks = wavenumbers(cfg)
     if ks and min(ks) < 0:
         raise ConfigError(f"wavenumbers must be non-negative, got {min(ks):g}")
@@ -210,6 +211,8 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool 
                           f"got {cfg.n_traj}")
     n_samples = _finite("number of steps t_end/dt", lambda: sim_config(cfg).n_steps) + 1
     _check_array_size("t_end/dt + 1 samples per trajectory", n_samples)
+    _check_array_size("len(k) * n_traj * (t_end/dt + 1) samples of the run",
+                      len(ks) * cfg.n_traj * n_samples)
     _finite("equilibrium variance T0^2/c0", lambda: equilibrium_mode_variance(params))
     if cfg.initial != SAMPLE_EQUILIBRIUM:
         _finite("initial^2 * (t_end/dt + 1)", lambda: cfg.initial ** 2 * n_samples)
@@ -234,6 +237,8 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool 
             if acf <= FIT_THRESHOLD:
                 raise ConfigError(f"dt too coarse for the rate fit at k={k:g}: expected ACF "
                                   f"{acf:.3g} at lag {MIN_FIT_LAGS - 1} <= {FIT_THRESHOLD}")
+            _finite(f"rate gate floor 3*sqrt(2/(gamma*T)) after burn-in at k={k:g}",
+                    lambda: _rate_floor(gamma, n_samples - n_burn, cfg.dt))
 
 
 def _check_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
@@ -325,7 +330,25 @@ DECO_DTYPE = np.dtype([("k", float), ("exponent", float), ("magnitude", float),
                        ("conserved_flag", bool)])
 
 
-def write_csv(path: Path, columns: list[str], rows: np.ndarray, cfg: RunConfig):
+class _TemplateMemo:
+    """The last row template _rows_text built, kept by _write for the tables that follow.
+
+    Holds one entry: a template in which a table's first column, when it holds
+    floats, is written in as text and every other cell is a placeholder, and
+    its key, the table's layout, dtype, length and the bits of that column.  A
+    table with an equal key fills only its other cells, so the time column that
+    all trajectory tables of a simulate run share is formatted once per run.  The
+    key compares bits, not values: -0.0 and 0.0 are written differently, and a
+    NaN matches its own bits.
+    """
+
+    def __init__(self):
+        self.key = None
+        self.template = ""
+
+
+def write_csv(path: Path, columns: list[str], rows: np.ndarray, cfg: RunConfig, *,
+              memo: _TemplateMemo | None = None):
     lines = []
     for key, val in config_echo(cfg).items():
         if isinstance(val, list):
@@ -333,36 +356,65 @@ def write_csv(path: Path, columns: list[str], rows: np.ndarray, cfg: RunConfig):
         lines.append(f"# {key}={_fmt(val)}")
     lines.append(",".join(columns))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n" + _csv_rows(rows))
+        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv_rows(rows, memo))
 
 
-def write_table(outdir: Path, stem: str, columns: list[str], rows: np.ndarray, cfg: RunConfig):
+def write_table(outdir: Path, stem: str, columns: list[str], rows: np.ndarray, cfg: RunConfig, *,
+                memo: _TemplateMemo | None = None):
     """Table in the configured format: CSV (default) or a JSON row list.
 
     ``rows`` is a record array with one field per column; float fields are
-    written as numbers, other fields (bools) as _fmt writes them.
+    written as numbers, other fields (bools) as _fmt writes them.  ``memo``
+    carries the text of a first column from one table to the next (_TemplateMemo).
     """
     if cfg.format == "json":
-        write_json(outdir / f"{stem}.json", {"columns": columns, "rows": rows}, cfg)
+        write_json(outdir / f"{stem}.json", {"columns": columns, "rows": rows}, cfg, memo=memo)
     else:
-        write_csv(outdir / f"{stem}.csv", columns, rows, cfg)
+        write_csv(outdir / f"{stem}.csv", columns, rows, cfg, memo=memo)
 
 
-def _interleave(rows: np.ndarray, float_cells) -> tuple:
-    """Every field of a record array, row after row: floats through float_cells, others by _fmt."""
+def _interleave(rows: np.ndarray, names, float_cells) -> tuple:
+    """The named fields of a record array, row after row: floats through float_cells, others
+    by _fmt."""
     fields = []
-    for name in rows.dtype.names:
+    for name in names:
         values = rows[name].tolist()
         fields.append(float_cells(values) if rows.dtype[name].kind == "f"
                       else [_fmt(v) for v in values])
-    return tuple(chain.from_iterable(zip(*fields)))
+    return tuple(fields[0]) if len(fields) == 1 else tuple(chain.from_iterable(zip(*fields)))
 
 
-def _csv_rows(rows: np.ndarray) -> str:
-    """CSV lines of a record array by one template; '%.17g' writes a float as _fmt does."""
-    line = ",".join("%.17g" if rows.dtype[name].kind == "f" else "%s"
-                    for name in rows.dtype.names) + "\n"
-    return (line * len(rows)) % _interleave(rows, list)
+def _rows_text(rows: np.ndarray, layout, float_spec: str, float_cells,
+               memo: _TemplateMemo | None) -> str:
+    """The rows of a record array by one template: layout(specs, n) lays out n rows of
+    cells from their '%' specs, float_spec and float_cells write a float cell.
+
+    A first column of floats is written into the template as text first, each other
+    spec escaped as '%%' for that pass; the text of a float has no '%' of its own.
+    memo keeps the template for a next table whose key is equal.
+    """
+    names = rows.dtype.names
+    lead = names[:1] if rows.dtype[0].kind == "f" else ()
+    key = (layout, rows.dtype, len(rows), rows[lead[0]].tobytes() if lead else None)
+    if memo is None:
+        memo = _TemplateMemo()
+    if memo.key != key:
+        specs = [float_spec if rows.dtype[name].kind == "f" else "%s" for name in names]
+        specs = [spec if name in lead else spec.replace("%", "%%")
+                 for name, spec in zip(names, specs)]
+        memo.key = key
+        memo.template = layout(specs, len(rows)) % _interleave(rows, lead, float_cells)
+    return memo.template % _interleave(rows, names[len(lead):], float_cells)
+
+
+def _csv_layout(specs: list[str], n: int) -> str:
+    return (",".join(specs) + "\n") * n
+
+
+def _csv_rows(rows: np.ndarray, memo: _TemplateMemo | None) -> str:
+    """CSV lines of a record array; '%.17g' writes a float as _fmt does."""
+    return _rows_text(rows, _csv_layout, "%.17g", list, memo)
 
 
 def _json_floats(values: list) -> list[str]:
@@ -370,12 +422,16 @@ def _json_floats(values: list) -> list[str]:
     return [repr(v) if math.isfinite(v) else json.dumps(_fmt(v)) for v in values]
 
 
-def _json_rows(rows: np.ndarray) -> str:
-    """A record array as the indent-2 JSON list of its rows, by one template."""
-    if len(rows) == 0:
+def _json_layout(specs: list[str], n: int) -> str:
+    if n == 0:
         return "[]"
-    item = "  [\n" + ",\n".join(["    %s"] * len(rows.dtype.names)) + "\n  ]"
-    return "[\n" + ",\n".join([item] * len(rows)) % _interleave(rows, _json_floats) + "\n]"
+    item = "    [\n      " + ",\n      ".join(specs) + "\n    ]"
+    return "[\n" + ",\n".join([item] * n) + "\n  ]"
+
+
+def _json_rows(rows: np.ndarray, memo: _TemplateMemo | None) -> str:
+    """A record array as the JSON list of its rows, indented as a member of an indent-2 object."""
+    return _rows_text(rows, _json_layout, "%s", _json_floats, memo)
 
 
 def _json_value(x):
@@ -389,22 +445,29 @@ def _json_value(x):
     return x
 
 
-def write_json(path: Path, payload: dict, cfg: RunConfig):
+def write_json(path: Path, payload: dict, cfg: RunConfig, *, memo: _TemplateMemo | None = None):
     """payload and the config echo as json.dumps(_json_value(...), indent=2, sort_keys=True)
     writes them; a record array member (a table's rows) is written by _json_rows in the
-    same bytes, not by json's pure-Python indent encoder."""
+    same bytes, not by json's pure-Python indent encoder.  Each member is written on its own."""
     payload = {**payload, "config": config_echo(cfg)}
-    members = (f"{json.dumps(key)}: " + (
-        _json_rows(val) if isinstance(val, np.ndarray)
-        else json.dumps(_json_value(val), indent=2, sort_keys=True, allow_nan=False))
-        for key, val in sorted(payload.items()))
     with open(path, "w", newline="\n") as fh:
-        fh.write("{\n  " + ",\n  ".join(m.replace("\n", "\n  ") for m in members) + "\n}\n")
+        for i, (key, val) in enumerate(sorted(payload.items())):
+            fh.write(("," if i else "{") + f"\n  {json.dumps(key)}: ")
+            fh.write(_json_rows(val, memo) if isinstance(val, np.ndarray) else json.dumps(
+                _json_value(val), indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  "))
+        fh.write("\n}\n")
 
 
 def _burn_in_steps(cfg: RunConfig, gamma: float) -> int:
     burn_t = cfg.burn_in if cfg.burn_in is not None else (10.0 / gamma if gamma > 0 else 0.0)
     return max(int(math.ceil(burn_t / cfg.dt)), 0)
+
+
+def _rate_floor(gamma: float, n_post: int, dt: float) -> float:
+    """The rate gate's statistical floor on |fitted - gamma| / gamma: 3 sd, where
+    sd(rate)/rate ~ sqrt(2 tau / T) for n_post samples, T = n_post dt time units and
+    correlation time tau = 1/gamma."""
+    return 3.0 * math.sqrt(2.0 / (gamma * n_post * dt))
 
 
 def _within_3sigma(estimate: float, expected: float, stderr: float) -> bool:
@@ -481,10 +544,7 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams):
         }
         try:
             fitted = _fit_rate(cfg, k, post)
-            # statistical floor: sd(rate)/rate ~ sqrt(2 tau / T) for a run of
-            # T time units with correlation time tau = 1/gamma
-            rel_sd = math.sqrt(2.0 / (gamma * post.size * cfg.dt))
-            rate_tol = max(cfg.rate_tol, 3.0 * rel_sd)
+            rate_tol = max(cfg.rate_tol, _rate_floor(gamma, post.size, cfg.dt))
             rate_pass = abs(fitted - gamma) <= rate_tol * gamma
             entry.update({"fitted_rate": fitted, "expected_rate": gamma,
                           "rate_tol": rate_tol, "rate_pass": rate_pass})
@@ -494,6 +554,7 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams):
             rate_pass = False
         all_pass = all_pass and var_pass and rate_pass
         report.append(entry)
+        del hist, post  # free this mode's history before the next one is simulated
     yield "fdr_report", {"tests": report, "all_pass": all_pass}
 
 
@@ -546,6 +607,7 @@ def _write(cfg: RunConfig, outputs) -> int:
     record array as a table, a dict as a JSON report.  Exit 1 if a report does not pass."""
     outdir = Path(cfg.out)
     code = EXIT_OK
+    memo = _TemplateMemo()
     for stem, output in outputs:
         outdir.mkdir(parents=True, exist_ok=True)
         if isinstance(output, dict):
@@ -553,7 +615,7 @@ def _write(cfg: RunConfig, outputs) -> int:
             if not output.get("all_pass", True):
                 code = EXIT_STAT_FAIL
         else:
-            write_table(outdir, stem, list(output.dtype.names), output, cfg)
+            write_table(outdir, stem, list(output.dtype.names), output, cfg, memo=memo)
     return code
 
 

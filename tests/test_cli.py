@@ -2,26 +2,37 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermodeco import ModeHistory, autocorrelation, fit_exponential_rate
+from thermodeco import ModeHistory, ModeSpec, autocorrelation, fit_exponential_rate
+from thermodeco import cli
 from thermodeco.cli import (
     RunConfig,
     _fmt,
     _json_value,
+    _write,
     build_parser,
     config_echo,
     main,
     resolve_config,
+    sim_config,
     write_table,
 )
+from thermodeco.langevin import simulate_ensemble
+from thermodeco.medium import MediumParams
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_json(path):
@@ -95,6 +106,7 @@ def test_bad_flag_exits_2():
     ["fdr-verify", "--k", "1", "--t-end", "400", "--rate-tol", "-0.1"],
     ["simulate", "--k", "1", "--t-end", "5", "--max-lag", "-5"],
     ["deco-scan", "--k", "1", "--scan-steps", "18446744073709551616"],
+    ["fdr-verify", "--k", "1e-160", "--burn-in", "0", "--t-end", "5"],
 ])
 def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -102,6 +114,29 @@ def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# prints the peak resident set in MiB after main; the limit makes an allocation that comes
+# before its size check fail fast instead of filling the machine's memory
+UNDER_2_GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "from thermodeco.cli import main; rc = main(sys.argv[1:]); "
+               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024); sys.exit(rc)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k-count", "18446744073709551616"],
+    ["simulate", "--k", "1", "--t-end", "5", "--n-traj", "18446744073709551616"],
+])
+def test_huge_size_exits_2_before_it_allocates(tmp_path, argv):
+    out = tmp_path / "o"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", UNDER_2_GIB, *argv, "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+    assert float(proc.stdout) < 200
 
 
 # a non-default value for every config key, as written in a file or on the command line
@@ -228,6 +263,33 @@ def test_fdr_verify_passes(tmp_path):
     assert report["tests"][0]["rate_pass"] is True
 
 
+def test_fdr_verify_frees_each_history_before_the_next(tmp_path, monkeypatch):
+    # traced memory when each mode's simulation starts, and its peak during that simulation
+    live, peak = [], []
+
+    def traced(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        try:
+            return simulate_ensemble(*args, **kwargs)
+        finally:
+            peak.append(tracemalloc.get_traced_memory()[1])
+
+    argv = ["fdr-verify", "--k", "1,2,3", "--t-end", "2000", "--out", str(tmp_path / "o")]
+    main(argv)  # imports what a first run imports, so that is not counted below
+    monkeypatch.setattr(cli, "simulate_ensemble", traced)
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+    finally:
+        tracemalloc.stop()
+    assert rc in (0, 1) and len(live) == 3
+    history = 8 * (200000 + 1)  # t_end / dt + 1 float64 samples
+    assert (live[1] - live[0]) / history < 0.5
+    # a simulation holds its noise buffer and the history filtered from it
+    assert (peak[1] - live[0]) / history < 2.5
+
+
 def test_fdr_verify_detects_corrupted_noise(tmp_path):
     out = tmp_path / "o"
     rc = main(["fdr-verify", "--k", "1", "--dt", "0.01", "--t-end", "400", "--seed", "2",
@@ -342,16 +404,19 @@ CELLS = {
 }
 
 
+def _table(types: list, cols: list[list]):
+    """(column names, record array, rows as lists of Python values) of columns of these types."""
+    names = [f"c{j}" for j in range(len(types))]
+    py_rows = [list(row) for row in zip(*cols)]
+    return names, np.array([tuple(r) for r in py_rows], dtype=list(zip(names, types))), py_rows
+
+
 @st.composite
 def tables(draw, kinds=st.sampled_from(sorted(CELLS, key=str))):
     """(column names, record array, the same rows as lists of Python values)."""
     types = draw(st.lists(kinds, min_size=1, max_size=4))
     n = draw(st.integers(0, 8))
-    cols = [draw(st.lists(CELLS[t], min_size=n, max_size=n)) for t in types]
-    names = [f"c{j}" for j in range(len(types))]
-    py_rows = [list(row) for row in zip(*cols)]
-    rows = np.array([tuple(r) for r in py_rows], dtype=list(zip(names, types)))
-    return names, rows, py_rows
+    return _table(types, [draw(st.lists(CELLS[t], min_size=n, max_size=n)) for t in types])
 
 
 def _written(fmt: str, names, rows) -> str:
@@ -361,22 +426,97 @@ def _written(fmt: str, names, rows) -> str:
         return (Path(tmp) / f"t.{fmt}").read_text()
 
 
+def per_value_json(names, py_rows, cfg=RunConfig(format="json")) -> str:
+    """A JSON table as json's pure-Python indent encoder writes it."""
+    payload = {"columns": names, "rows": py_rows, "config": config_echo(cfg)}
+    return json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def per_value_csv_end(names, py_rows) -> str:
+    """A CSV table's column line and rows as the per-value join the template replaced writes
+    them; the config comment lines come before."""
+    body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in py_rows)
+    return "\n" + ",".join(names) + "\n" + body
+
+
 @settings(max_examples=100, deadline=None)
 @given(tables())
 def test_json_table_matches_indent_encoder(table):
     names, rows, py_rows = table
-    payload = {"columns": names, "rows": py_rows, "config": config_echo(RunConfig(format="json"))}
-    expected = json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    assert _written("json", names, rows) == expected
+    assert _written("json", names, rows) == per_value_json(names, py_rows)
 
 
 @settings(max_examples=100, deadline=None)
 @given(tables(kinds=st.sampled_from([float, float, bool])))
 def test_csv_table_matches_per_value_fmt(table):
     names, rows, py_rows = table
-    # the per-value join the template replaced
-    body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in py_rows)
-    assert _written("csv", names, rows).endswith("\n" + ",".join(names) + "\n" + body)
+    assert _written("csv", names, rows).endswith(per_value_csv_end(names, py_rows))
+
+
+def _zeros_swapped(col: list[float]) -> list[float]:
+    return [(-0.0 if math.copysign(1.0, v) > 0 else 0.0) if v == 0 else v for v in col]
+
+
+@st.composite
+def table_runs(draw, kinds):
+    """Two to four tables written by one _write call; each has a first column of floats.
+
+    A table after the first is new, of any length, 0 rows included, or has the layout of
+    the one before and its first column: copied, or with 0.0 and -0.0 swapped, the one
+    change a memo keyed by == or np.array_equal cannot see.
+    """
+    runs = []
+    for i in range(draw(st.integers(2, 4))):
+        how = draw(st.sampled_from(["new", "copy", "swap"])) if i else "new"
+        if how == "new":
+            types, n = [float] + draw(st.lists(kinds, max_size=3)), draw(st.integers(0, 8))
+        cols = [draw(st.lists(CELLS[t], min_size=n, max_size=n)) for t in types]
+        if how != "new":
+            first = [row[0] for row in runs[-1][2]]
+            cols[0] = first if how == "copy" else _zeros_swapped(first)
+        runs.append(_table(types, cols))
+    return runs
+
+
+# the cases the property must hold on: a repeated first column, one that differs only in
+# the sign of a zero, a NaN, lengths that change and 0 rows
+EXAMPLE_RUN = [
+    _table([float, bool], [[0.0, math.nan, 1.5], [True, False, True]]),
+    _table([float, bool], [[-0.0, math.nan, 1.5], [False, False, True]]),
+    _table([float, bool], [[-0.0, math.nan, 1.5], [True, True, False]]),
+    _table([float, bool], [[], []]),
+]
+
+
+@pytest.mark.parametrize("fmt, kinds", [("csv", [float, bool]), ("json", [float, int, bool])])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_table_sequence_matches_per_value_text(fmt, kinds, data):
+    runs = EXAMPLE_RUN if data is None else data.draw(table_runs(st.sampled_from(kinds)))
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(RunConfig(format=fmt, out=tmp),
+               ((f"t{i}", rows) for i, (_, rows, _) in enumerate(runs)))
+        for i, (names, _, py_rows) in enumerate(runs):
+            text = (Path(tmp) / f"t{i}.{fmt}").read_text()
+            if fmt == "json":
+                assert text == per_value_json(names, py_rows)
+            else:
+                assert text.endswith(per_value_csv_end(names, py_rows))
+
+
+def test_simulate_json_tables_match_per_value_encoder(tmp_path):
+    argv = ["simulate", "--k", "0,1.5", "--dt", "0.1", "--t-end", "3", "--n-traj", "3",
+            "--seed", "4", "--format", "json"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    cfg = resolve_config(build_parser().parse_args(argv))
+    params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
+    ensemble = simulate_ensemble(params, [ModeSpec(0.0), ModeSpec(1.5)], 3, sim_config(cfg))
+    for m, trajs in enumerate(ensemble):
+        for i, hist in enumerate(trajs):
+            rows = [list(row) for row in zip(hist.times.tolist(), hist.values.tolist())]
+            text = (tmp_path / f"mode{m}_traj{i}.json").read_text()
+            assert text == per_value_json(["t", "delta_T"], rows, cfg)
 
 
 # hostile values for any key: zero, negative, huge, tiny, non-finite and non-numeric
