@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, langevin
 from .errors import InsufficientDataError
 from .fieldspace import (
     equilibrium_energy_variance,
@@ -290,10 +290,11 @@ def _check_fields(cfg: RunConfig, params: MediumParams, ks: list[float]):
 
 
 def wavenumbers(cfg: RunConfig) -> list[float]:
-    """The mode set: the explicit k_list, else the uniform grid."""
+    """The mode set: the explicit k_list, else the uniform grid k_min + i * dk, allocated in
+    one step (a grid beyond memory fails at once)."""
     if cfg.k_list:
         return list(cfg.k_list)
-    return [cfg.k_min + i * cfg.dk for i in range(cfg.k_count)]
+    return (cfg.k_min + np.arange(cfg.k_count) * cfg.dk).tolist()
 
 
 def sim_config(cfg: RunConfig) -> SimConfig:
@@ -484,38 +485,45 @@ def _fit_rate(cfg: RunConfig, k: float, post: np.ndarray) -> float:
     return fit_exponential_rate(acf)
 
 
-def _mode_summary(params: MediumParams, cfg: RunConfig, spec: ModeSpec, trajs: list[ModeHistory]) -> dict:
-    gamma = relaxation_rate(params, spec.k)
+def _estimate_mode(params: MediumParams, cfg: RunConfig, k: float, trajs: np.ndarray):
+    """Estimates from a mode's (n_traj, n) trajectories: gamma_k, the burn-in steps, the
+    sample_variance of all post-burn-in samples in trajectory order (None below 2 samples),
+    and the rate fitted on trajectory 0 after burn-in, or the InsufficientDataError."""
+    gamma = relaxation_rate(params, k)
     n_burn = _burn_in_steps(cfg, gamma)
-    post = np.concatenate([h.values[n_burn:] for h in trajs])
-    entry: dict = {
-        "k": spec.k,
-        "expected_rate": gamma,
-        "expected_variance": equilibrium_mode_variance(params),
-        "n_traj": len(trajs),
-        "burn_in_steps": n_burn,
-        "deterministic": cfg.noise_scale == 0.0,
-    }
-    if post.size >= 2:
-        st = sample_variance(post)
-        entry["sample_variance"] = st.variance
-        entry["stderr_variance"] = variance_stderr_correlated(st.variance, st.n, gamma, cfg.dt)
-        entry["sample_mean"] = st.mean
+    post = trajs[:, n_burn:]
+    st = sample_variance(post) if post.size >= 2 else None  # ravels one copy, row after row
     try:
-        entry["fitted_rate"] = _fit_rate(cfg, spec.k, trajs[0].values[n_burn:])
-    except InsufficientDataError:
-        entry["fitted_rate"] = None
-    return entry
+        rate = _fit_rate(cfg, k, post[0])
+    except InsufficientDataError as exc:
+        rate = exc
+    return gamma, n_burn, st, rate
 
 
 def run_simulate(cfg: RunConfig, params: MediumParams):
-    modes = [ModeSpec(k) for k in wavenumbers(cfg)]
-    ensemble = simulate_ensemble(params, modes, cfg.n_traj, sim_config(cfg), n_workers=cfg.workers)
+    ks = wavenumbers(cfg)
+    ensemble = simulate_ensemble(params, [ModeSpec(k) for k in ks], cfg.n_traj, sim_config(cfg),
+                                 n_workers=cfg.workers)
+    t = np.arange(ensemble.shape[-1]) * cfg.dt
     summary_modes = []
-    for m, (spec, trajs) in enumerate(zip(modes, ensemble)):
-        for i, hist in enumerate(trajs):
-            yield f"mode{m}_traj{i}", np.rec.fromarrays([hist.times, hist.values], names=TRAJ_COLUMNS)
-        summary_modes.append(_mode_summary(params, cfg, spec, trajs))
+    for m, k in enumerate(ks):
+        for i in range(cfg.n_traj):
+            yield f"mode{m}_traj{i}", np.rec.fromarrays([t, ensemble[m, i]], names=TRAJ_COLUMNS)
+        gamma, n_burn, st, rate = _estimate_mode(params, cfg, k, ensemble[m])
+        entry = {
+            "k": k,
+            "expected_rate": gamma,
+            "expected_variance": equilibrium_mode_variance(params),
+            "n_traj": cfg.n_traj,
+            "burn_in_steps": n_burn,
+            "deterministic": cfg.noise_scale == 0.0,
+            "fitted_rate": None if isinstance(rate, InsufficientDataError) else rate,
+        }
+        if st is not None:
+            entry["sample_variance"] = st.variance
+            entry["stderr_variance"] = variance_stderr_correlated(st.variance, st.n, gamma, cfg.dt)
+            entry["sample_mean"] = st.mean
+        summary_modes.append(entry)
     yield "summary", {"modes": summary_modes}
 
 
@@ -527,11 +535,10 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams):
         if k == 0.0:
             report.append({"k": 0.0, "skipped": "conserved mode (zero rate, zero noise)"})
             continue
-        hist = simulate_ensemble(params, [ModeSpec(k)], 1, sim, n_workers=cfg.workers)[0][0]
-        gamma = relaxation_rate(params, k)
-        n_burn = _burn_in_steps(cfg, gamma)
-        post = hist.values[n_burn:]
-        st = sample_variance(post)
+        # one trajectory on substream 0, freed before the next mode is simulated; called
+        # through langevin, as simulate_ensemble calls it, so a wrapper there sees both commands
+        gamma, _, st, rate = _estimate_mode(params, cfg, k,
+                                            langevin.simulate_mode(params, k, sim).values[None])
         expected = equilibrium_mode_variance(params)
         stderr = variance_stderr_correlated(expected, st.n, gamma, cfg.dt)
         var_pass = _within_3sigma(st.variance, expected, stderr)
@@ -541,20 +548,16 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams):
             "expected_variance": expected,
             "stderr_variance": stderr,
             "variance_pass": var_pass,
+            "expected_rate": gamma,
         }
-        try:
-            fitted = _fit_rate(cfg, k, post)
-            rate_tol = max(cfg.rate_tol, _rate_floor(gamma, post.size, cfg.dt))
-            rate_pass = abs(fitted - gamma) <= rate_tol * gamma
-            entry.update({"fitted_rate": fitted, "expected_rate": gamma,
-                          "rate_tol": rate_tol, "rate_pass": rate_pass})
-        except InsufficientDataError as exc:
-            entry.update({"fitted_rate": None, "expected_rate": gamma, "rate_pass": False,
-                          "rate_error": str(exc)})
-            rate_pass = False
-        all_pass = all_pass and var_pass and rate_pass
+        if isinstance(rate, InsufficientDataError):
+            entry.update({"fitted_rate": None, "rate_pass": False, "rate_error": str(rate)})
+        else:
+            rate_tol = max(cfg.rate_tol, _rate_floor(gamma, st.n, cfg.dt))
+            entry.update({"fitted_rate": rate, "rate_tol": rate_tol,
+                          "rate_pass": abs(rate - gamma) <= rate_tol * gamma})
+        all_pass = all_pass and var_pass and entry["rate_pass"]
         report.append(entry)
-        del hist, post  # free this mode's history before the next one is simulated
     yield "fdr_report", {"tests": report, "all_pass": all_pass}
 
 
@@ -644,6 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NO_MEMORY = "run does not fit in memory: "
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -658,6 +664,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: {_NO_MEMORY}{exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return _write(cfg, run(cfg, params))
     except ConfigError as exc:
@@ -665,7 +674,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         code, message = EXIT_IO, f"i/o error: {exc}"
     except MemoryError as exc:
-        code, message = EXIT_CONFIG, f"config error: run does not fit in memory: {exc}"
+        code, message = EXIT_CONFIG, f"config error: {_NO_MEMORY}{exc}"
     except ConsistencyViolation as exc:
         code, message = EXIT_INTERNAL, f"internal consistency violation: {exc}"
     print(message, file=sys.stderr)

@@ -226,32 +226,25 @@ def simulate_ensemble(
     n_traj: int,
     cfg: SimConfig,
     n_workers: int = 1,
-) -> list[list[ModeHistory]]:
-    """Independent trajectories per mode; result[m][i] is trajectory i of mode m.
+) -> np.ndarray:
+    """Independent trajectories per mode as one (len(modes), n_traj, n_steps + 1) array;
+    result[m, i] is trajectory i of mode m.
 
-    Trajectory i of mode m uses substream id m * n_traj + i, so output is
-    independent of execution order and bitwise identical across worker
-    counts.
+    Row r = m * n_traj + i of the flattened array is filled by simulate_mode on
+    substream r, so output is independent of execution order and bitwise
+    identical across worker counts.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    jobs = [
-        (m, i, modes[m].k, m * n_traj + i)
-        for m in range(len(modes))
-        for i in range(n_traj)
-    ]
-    out: list[list[ModeHistory | None]] = [[None] * n_traj for _ in modes]
-    if n_workers <= 1:
-        for m, i, k, sub in jobs:
-            out[m][i] = simulate_mode(params, k, cfg, substream=sub)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = pool.map(
-                lambda job: simulate_mode(params, job[2], cfg, substream=job[3]), jobs
-            )
-            for (m, i, _, _), hist in zip(jobs, results):
-                out[m][i] = hist
-    return out  # type: ignore[return-value]
+    out = np.empty((len(modes), n_traj, cfg.n_steps + 1))
+    rows = out.reshape(-1, out.shape[-1])
+
+    def fill(r: int):
+        rows[r] = simulate_mode(params, modes[r // n_traj].k, cfg, substream=r).values
+
+    with ThreadPoolExecutor(max_workers=max(n_workers, 1)) as pool:
+        list(pool.map(fill, range(len(rows))))
+    return out
 
 
 def deterministic_decay(params: MediumParams, k: float, x0: float, t: float) -> float:

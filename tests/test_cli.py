@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermodeco import ModeHistory, ModeSpec, autocorrelation, fit_exponential_rate
-from thermodeco import cli
+from thermodeco import cli, langevin
 from thermodeco.cli import (
     RunConfig,
     _fmt,
@@ -29,7 +29,7 @@ from thermodeco.cli import (
     sim_config,
     write_table,
 )
-from thermodeco.langevin import simulate_ensemble
+from thermodeco.langevin import simulate_ensemble, simulate_mode
 from thermodeco.medium import MediumParams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -126,6 +126,9 @@ UNDER_2_GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--k-count", "18446744073709551616"],
     ["simulate", "--k", "1", "--t-end", "5", "--n-traj", "18446744073709551616"],
+    # under numpy's array size limit, beyond the memory limit: each fails at its one allocation
+    ["simulate", "--k-count", "1099511627776"],
+    ["simulate", "--k", "1", "--t-end", "5", "--n-traj", "1099511627776"],
 ])
 def test_huge_size_exits_2_before_it_allocates(tmp_path, argv):
     out = tmp_path / "o"
@@ -271,13 +274,13 @@ def test_fdr_verify_frees_each_history_before_the_next(tmp_path, monkeypatch):
         live.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         try:
-            return simulate_ensemble(*args, **kwargs)
+            return simulate_mode(*args, **kwargs)
         finally:
             peak.append(tracemalloc.get_traced_memory()[1])
 
     argv = ["fdr-verify", "--k", "1,2,3", "--t-end", "2000", "--out", str(tmp_path / "o")]
     main(argv)  # imports what a first run imports, so that is not counted below
-    monkeypatch.setattr(cli, "simulate_ensemble", traced)
+    monkeypatch.setattr(langevin, "simulate_mode", traced)
     tracemalloc.start()
     try:
         rc = main(argv)
@@ -288,6 +291,17 @@ def test_fdr_verify_frees_each_history_before_the_next(tmp_path, monkeypatch):
     assert (live[1] - live[0]) / history < 0.5
     # a simulation holds its noise buffer and the history filtered from it
     assert (peak[1] - live[0]) / history < 2.5
+
+
+def test_simulate_and_fdr_verify_share_one_estimator(tmp_path):
+    # one trajectory of simulate and fdr-verify's history both draw substream 0
+    common = ["--k", "1", "--t-end", "2000"]
+    assert main(["simulate", *common, "--n-traj", "1", "--out", str(tmp_path / "s")]) == 0
+    assert main(["fdr-verify", *common, "--out", str(tmp_path / "f")]) in (0, 1)
+    mode = read_json(tmp_path / "s" / "summary.json")["modes"][0]
+    test = read_json(tmp_path / "f" / "fdr_report.json")["tests"][0]
+    assert mode["sample_variance"] == test["variance"]
+    assert mode["fitted_rate"] == test["fitted_rate"]
 
 
 def test_fdr_verify_detects_corrupted_noise(tmp_path):
@@ -511,9 +525,11 @@ def test_simulate_json_tables_match_per_value_encoder(tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     cfg = resolve_config(build_parser().parse_args(argv))
     params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
-    ensemble = simulate_ensemble(params, [ModeSpec(0.0), ModeSpec(1.5)], 3, sim_config(cfg))
+    modes = [ModeSpec(0.0), ModeSpec(1.5)]
+    ensemble = simulate_ensemble(params, modes, 3, sim_config(cfg))
     for m, trajs in enumerate(ensemble):
-        for i, hist in enumerate(trajs):
+        for i, values in enumerate(trajs):
+            hist = ModeHistory(modes[m].k, cfg.dt, values)
             rows = [list(row) for row in zip(hist.times.tolist(), hist.values.tolist())]
             text = (tmp_path / f"mode{m}_traj{i}.json").read_text()
             assert text == per_value_json(["t", "delta_T"], rows, cfg)

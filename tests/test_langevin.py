@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -172,19 +173,27 @@ def test_ensemble_matches_serial_and_simulate_mode():
     cfg = SimConfig(dt=0.05, t_end=2.0, seed=17, initial="sample-equilibrium")
     modes = [ModeSpec(1.0), ModeSpec(2.0)]
     serial = simulate_ensemble(UNIT, modes, 4, cfg, n_workers=1)
-    threaded = simulate_ensemble(UNIT, modes, 4, cfg, n_workers=4)
-    for m in range(2):
-        for i in range(4):
-            assert np.array_equal(serial[m][i].values, threaded[m][i].values)
-    single = simulate_ensemble(UNIT, [ModeSpec(1.0)], 1, cfg)[0][0]
-    assert np.array_equal(single.values, simulate_mode(UNIT, 1.0, cfg, substream=0).values)
+    assert serial.shape == (2, 4, cfg.n_steps + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # pool threads switch often while they write their rows
+    try:
+        for workers in (1, 2, 4):
+            ensemble = simulate_ensemble(UNIT, modes, 4, cfg, n_workers=workers)
+            assert np.array_equal(ensemble, serial)
+            for m in range(2):
+                for i in range(4):
+                    hist = simulate_mode(UNIT, modes[m].k, cfg, substream=m * 4 + i)
+                    assert np.array_equal(ensemble[m, i], hist.values)
+    finally:
+        sys.setswitchinterval(interval)
+    single = simulate_ensemble(UNIT, [ModeSpec(1.0)], 1, cfg)[0, 0]
+    assert np.array_equal(single, simulate_mode(UNIT, 1.0, cfg, substream=0).values)
 
 
 def test_ensemble_equilibrium_mean():
     cfg = SimConfig(dt=0.05, t_end=20.0, seed=8, initial="sample-equilibrium")
     n_traj = 4000
-    trajs = simulate_ensemble(UNIT, [ModeSpec(1.0)], n_traj, cfg)[0]
-    finals = np.array([h.values[-1] for h in trajs])
+    finals = simulate_ensemble(UNIT, [ModeSpec(1.0)], n_traj, cfg)[0, :, -1]
     assert abs(finals.mean()) <= 3 * math.sqrt(1.0 / n_traj)
 
 
