@@ -20,7 +20,7 @@ from thermodeco import (
 
 params = MediumParams(T0=1.0, c0=1.0, D0=1.0)
 template = LatticeField.zeros(d=1, extents=64, spacing=1.0)
-stream = NoiseStream(0.0, seed=7)
+stream = NoiseStream(seed=7)
 
 n = 20_000
 ensemble = sample_equilibrium_field(params, template, stream, n)  # values shaped (n, 64)

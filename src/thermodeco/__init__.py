@@ -19,7 +19,6 @@ from .errors import (
 from .medium import (
     LatticeField,
     MediumParams,
-    ModeSpec,
     coupling_constant,
     equilibrium_mode_variance,
     free_energy_change,

@@ -52,7 +52,6 @@ from .langevin import (
 from .medium import (
     LatticeField,
     MediumParams,
-    ModeSpec,
     equilibrium_mode_variance,
     noise_strength,
     relaxation_rate,
@@ -71,6 +70,9 @@ EXIT_STAT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+
+# Most threads a run may ask for: simulate's pool starts one per trajectory, up to workers.
+MAX_WORKERS = 256
 
 
 class ConfigError(Exception):
@@ -166,6 +168,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown format {cfg.format!r}")
     if cfg.workers < 1 or cfg.n_traj < 1:
         raise ConfigError("workers and n_traj must be >= 1")
+    if cfg.workers > MAX_WORKERS:
+        raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {cfg.workers}")
     for name, val in vars(cfg).items():
         for v in val if isinstance(val, list) else [val]:
             if isinstance(v, float) and not math.isfinite(v):
@@ -177,6 +181,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{name} must be non-negative, got {value}")
     _check_array_size("k_count wavenumbers", cfg.k_count)
     ks = wavenumbers(cfg)
+    if (bad := next((k for k in ks if not math.isfinite(k)), None)) is not None:
+        raise ConfigError(f"wavenumbers must be finite, got {bad:g}")
     if ks and min(ks) < 0:
         raise ConfigError(f"wavenumbers must be non-negative, got {min(ks):g}")
     return cfg
@@ -243,11 +249,11 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool 
 
 def _check_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
     """A ConfigError unless the scan's settings are positive, its wavenumbers distinct and
-    the exponent dt * N_k * scan_steps * amplitude^2 a positive normal float over the scan.
+    the exponent decoherence_scan computes a positive normal float over the scan.
 
     The smallest and largest positive k have the largest and smallest exponents: at
     k_low N_k and the exponent must not overflow, at k_high the exponent must not
-    underflow.  The factors are multiplied in the order decoherence_scan multiplies them.
+    underflow.  Both are the scan's own rows at those k.
     """
     if not (cfg.amplitude > 0 and cfg.duration > 0 and cfg.scan_steps >= 1):
         raise ConfigError("amplitude and duration must be positive, scan_steps >= 1")
@@ -260,13 +266,15 @@ def _check_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
         return
     k_low, k_high = min(positive), max(positive)
 
-    def exponent(n_k):
-        return cfg.duration / cfg.scan_steps * n_k * (cfg.scan_steps * cfg.amplitude ** 2)
+    def exponent(k):
+        with np.errstate(over="ignore"):  # an overflowing sum of squares is inf: rejected below
+            return decoherence_scan(params, [k], cfg.amplitude, cfg.duration,
+                                    n_steps=cfg.scan_steps)[0][1]
 
-    n_k = _finite(f"noise kernel N_k at k={k_low:g}", lambda: noise_kernel_amplitude(params, k_low))
-    _finite(f"decoherence exponent at k={k_low:g}", lambda: exponent(n_k))
+    _finite(f"noise kernel N_k at k={k_low:g}", lambda: noise_kernel_amplitude(params, k_low))
+    _finite(f"decoherence exponent at k={k_low:g}", lambda: exponent(k_low))
     try:
-        smallest = exponent(noise_kernel_amplitude(params, k_high))
+        smallest = exponent(k_high)
     except OverflowError:  # k_high ** 2 overflows, so N_k and the exponent underflow
         smallest = 0.0
     if not smallest >= sys.float_info.min:
@@ -291,10 +299,12 @@ def _check_fields(cfg: RunConfig, params: MediumParams, ks: list[float]):
 
 def wavenumbers(cfg: RunConfig) -> list[float]:
     """The mode set: the explicit k_list, else the uniform grid k_min + i * dk, allocated in
-    one step (a grid beyond memory fails at once)."""
+    one step (a grid beyond memory fails at once).  A grid point that overflows is +-inf,
+    which resolve_config rejects."""
     if cfg.k_list:
         return list(cfg.k_list)
-    return (cfg.k_min + np.arange(cfg.k_count) * cfg.dk).tolist()
+    with np.errstate(over="ignore"):
+        return (cfg.k_min + np.arange(cfg.k_count) * cfg.dk).tolist()
 
 
 def sim_config(cfg: RunConfig) -> SimConfig:
@@ -502,8 +512,7 @@ def _estimate_mode(params: MediumParams, cfg: RunConfig, k: float, trajs: np.nda
 
 def run_simulate(cfg: RunConfig, params: MediumParams):
     ks = wavenumbers(cfg)
-    ensemble = simulate_ensemble(params, [ModeSpec(k) for k in ks], cfg.n_traj, sim_config(cfg),
-                                 n_workers=cfg.workers)
+    ensemble = simulate_ensemble(params, ks, cfg.n_traj, sim_config(cfg), n_workers=cfg.workers)
     t = np.arange(ensemble.shape[-1]) * cfg.dt
     summary_modes = []
     for m, k in enumerate(ks):
@@ -576,7 +585,7 @@ def run_deco_scan(cfg: RunConfig, params: MediumParams):
 
 def run_field_sample(cfg: RunConfig, params: MediumParams):
     template = lattice_template(cfg)
-    stream = NoiseStream(0.0, cfg.seed, 0)
+    stream = NoiseStream(cfg.seed)
     ensemble = sample_equilibrium_field(params, template, stream, cfg.n_fields, cfg.noise_scale)
     st = total_energy_fluctuation(params, ensemble)
     expected = equilibrium_energy_variance(params, template)

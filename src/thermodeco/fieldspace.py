@@ -59,17 +59,20 @@ def to_modes(fld: LatticeField) -> SpectralField:
     return SpectralField(d=fld.d, extents=fld.extents, coefficients=coeff, lengths=lengths)
 
 
-def from_modes(spec: SpectralField, imag_tol: float = 1e-12) -> LatticeField:
+IMAG_TOL = 1e-12
+
+
+def from_modes(spec: SpectralField) -> LatticeField:
     """Inverse transform dT(x_j) = sum_m c_m e^{+i k_m x_j}.
 
-    Verifies the result is real to within ``imag_tol`` (relative to the
-    field magnitude) before discarding the imaginary residue; raises
+    Verifies the result is real to within IMAG_TOL (relative to the field
+    magnitude) before discarding the imaginary residue; raises
     NonHermitianError otherwise.
     """
     n_total = int(np.prod(spec.extents))
     arr = np.fft.ifftn(spec.coefficients) * n_total
     scale = max(1.0, float(np.max(np.abs(arr.real))))
-    if float(np.max(np.abs(arr.imag))) > imag_tol * scale:
+    if float(np.max(np.abs(arr.imag))) > IMAG_TOL * scale:
         raise NonHermitianError("spectrum is not Hermitian-symmetric; inverse not real")
     spacing = tuple(length / n for n, length in zip(spec.extents, spec.lengths))
     return LatticeField(d=spec.d, extents=spec.extents, spacing=spacing, values=arr.real)

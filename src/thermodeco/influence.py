@@ -11,7 +11,7 @@ conserved k = 0 mode is exactly decohered for any branch difference.
 Discretization: central time differences (one-sided at the endpoints)
 preserve the exact odd/even parity of the two terms under branch swap, so
 the antisymmetry A[1,2] = -conj(A[2,1]) holds to round-off; time integrals
-are left-Riemann sums, mode integrals use the explicit ModeSpec weights.
+are left-Riemann sums, mode integrals use explicit per-mode weights.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import GridMismatchError, SingularModeError
 from .langevin import ModeHistory, drift_residual
-from .medium import (
-    MediumParams,
-    ModeSpec,
-    coupling_constant,
-    relaxation_rate,
-)
+from .medium import MediumParams, coupling_constant, relaxation_rate
 
 
 @dataclass(frozen=True)
@@ -60,9 +55,6 @@ class HistoryPair:
 
     def swapped(self) -> "HistoryPair":
         return HistoryPair(self.branch2, self.branch1, self.weights)
-
-    def modes(self):
-        return [h.k for h in self.branch1]
 
 
 @dataclass(frozen=True)
@@ -153,33 +145,33 @@ def antisymmetry_residual(params: MediumParams, pair: HistoryPair) -> float:
     return abs(a12 + a21.conjugate())
 
 
-def static_free_energy_identity(
-    params: MediumParams, modes: list[ModeSpec], amps1, amps2
-) -> float:
+def static_free_energy_identity(params: MediumParams, ks, weights, amps1, amps2) -> float:
     """Residual of the imaginary-time constraint that fixes A_k.
 
     For time-independent branch configurations the dissipative integrand
     per unit time, sum_k w_k (1/2) A_k gamma_k (a1^k^2 - a2_k^2), must equal
-    the free-energy difference density sum_k w_k (c0/2T0)(a1_k^2 - a2_k^2).
-    Since A_k gamma_k = c0/T0 identically, the relative mismatch is pure
-    round-off.  Normalized by the absolute-term sum to avoid cancellation
-    blow-up.
+    the free-energy difference density sum_k w_k (c0/2T0)(a1_k^2 - a2_k^2),
+    w_k the positive mode weights.  Since A_k gamma_k = c0/T0 identically,
+    the relative mismatch is pure round-off.  Normalized by the
+    absolute-term sum to avoid cancellation blow-up.
     """
     a1 = np.asarray(amps1, dtype=float)
     a2 = np.asarray(amps2, dtype=float)
-    if not (len(modes) == a1.size == a2.size):
-        raise GridMismatchError("modes and amplitude lists must have equal length")
+    if not (len(ks) == len(weights) == a1.size == a2.size):
+        raise GridMismatchError("wavenumbers, weights and amplitude lists must have equal length")
+    if any(w <= 0 for w in weights):
+        raise ValueError("mode weights must be positive")
     lhs = 0.0
     rhs = 0.0
     scale = 0.0
-    for spec, x1, x2 in zip(modes, a1, a2):
-        if spec.k <= 0:
+    for k, w, x1, x2 in zip(ks, weights, a1, a2):
+        if k <= 0:
             raise SingularModeError("static identity requires all k > 0")
         quad = x1 * x1 - x2 * x2
-        lhs += spec.weight * 0.5 * coupling_constant(params, spec.k) * relaxation_rate(params, spec.k) * quad
-        term = spec.weight * params.c0 / (2.0 * params.T0) * quad
+        lhs += w * 0.5 * coupling_constant(params, k) * relaxation_rate(params, k) * quad
+        term = w * params.c0 / (2.0 * params.T0) * quad
         rhs += term
-        scale += abs(spec.weight) * params.c0 / (2.0 * params.T0) * (x1 * x1 + x2 * x2)
+        scale += w * params.c0 / (2.0 * params.T0) * (x1 * x1 + x2 * x2)
     denom = max(scale, np.finfo(float).tiny)
     return abs(lhs - rhs) / denom
 

@@ -13,6 +13,7 @@ regardless of execution order or thread count.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ from importlib.util import module_from_spec, spec_from_loader
 import numpy as np
 
 from .errors import InsufficientDataError
-from .medium import MediumParams, ModeSpec, equilibrium_mode_variance, noise_strength, relaxation_rate
+from .medium import MediumParams, equilibrium_mode_variance, noise_strength, relaxation_rate
 
 METHOD_EXACT = "exact-ou"
 METHOD_EULER = "euler-maruyama"
@@ -99,15 +100,13 @@ class NoiseStream:
 
     Built on numpy's counter-based Philox generator with key
     (master seed, substream id); identical (seed, substream) pairs yield
-    identical draw sequences on every platform.
+    identical draw sequences on every platform.  Both must be integers: a
+    float in either place raises TypeError.
     """
 
-    def __init__(self, gamma: float, seed: int, substream: int = 0):
-        if gamma < 0:
-            raise ValueError("noise strength must be non-negative")
-        self.gamma = float(gamma)
-        self.seed = int(seed)
-        self.substream = int(substream)
+    def __init__(self, seed: int, substream: int = 0):
+        self.seed = operator.index(seed)
+        self.substream = operator.index(substream)
         key = np.array([self.seed, self.substream], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
@@ -201,7 +200,7 @@ def simulate_mode(
     The initial amplitude (or its equilibrium draw) consumes the first
     sample of the substream; the n-th step consumes the (n+1)-th.
     """
-    stream = NoiseStream(noise_strength(params, k) * cfg.noise_scale, cfg.seed, substream)
+    stream = NoiseStream(cfg.seed, substream)
     if cfg.initial == SAMPLE_EQUILIBRIUM:
         x0 = math.sqrt(equilibrium_mode_variance(params) * cfg.noise_scale) * stream.normal()
     else:
@@ -222,13 +221,13 @@ def simulate_mode(
 
 def simulate_ensemble(
     params: MediumParams,
-    modes: list[ModeSpec],
+    ks,
     n_traj: int,
     cfg: SimConfig,
     n_workers: int = 1,
 ) -> np.ndarray:
-    """Independent trajectories per mode as one (len(modes), n_traj, n_steps + 1) array;
-    result[m, i] is trajectory i of mode m.
+    """Independent trajectories per wavenumber as one (len(ks), n_traj, n_steps + 1) array;
+    result[m, i] is trajectory i of mode ks[m].
 
     Row r = m * n_traj + i of the flattened array is filled by simulate_mode on
     substream r, so output is independent of execution order and bitwise
@@ -236,11 +235,11 @@ def simulate_ensemble(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    out = np.empty((len(modes), n_traj, cfg.n_steps + 1))
+    out = np.empty((len(ks), n_traj, cfg.n_steps + 1))
     rows = out.reshape(-1, out.shape[-1])
 
     def fill(r: int):
-        rows[r] = simulate_mode(params, modes[r // n_traj].k, cfg, substream=r).values
+        rows[r] = simulate_mode(params, ks[r // n_traj], cfg, substream=r).values
 
     with ThreadPoolExecutor(max_workers=max(n_workers, 1)) as pool:
         list(pool.map(fill, range(len(rows))))

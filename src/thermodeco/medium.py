@@ -11,7 +11,7 @@ units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,38 +26,20 @@ class MediumParams:
     c0: specific heat per unit volume at T0 (> 0)
     D0: heat diffusion constant (> 0)
     d:  spatial dimension (1, 2 or 3)
+
+    beta0 = 1 / T0 is the inverse temperature of the equilibrium measure exp(-beta0 * dF).
     """
 
     T0: float
     c0: float
     D0: float
     d: int = 1
-    beta0: float = field(init=False)
 
     def __post_init__(self):
         if not (self.T0 > 0 and self.c0 > 0 and self.D0 > 0):
             raise ValueError("T0, c0 and D0 must all be positive")
         if not 1 <= self.d <= 3:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
-        object.__setattr__(self, "beta0", 1.0 / self.T0)
-
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """A single Fourier mode: wavenumber magnitude plus its quadrature weight.
-
-    The weight represents the mode-space measure attached to this mode, so
-    mode sums approximate mode integrals when weights are chosen accordingly.
-    """
-
-    k: float
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("wavenumber must be non-negative")
-        if not self.weight > 0:
-            raise ValueError("quadrature weight must be positive")
 
 
 @dataclass(frozen=True)

@@ -130,29 +130,27 @@ def _lag_sums(x: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-# Default fit window of fit_exponential_rate: the lags from 0 while the ACF
-# stays above FIT_THRESHOLD, at least MIN_FIT_LAGS of them.
+# Fit window of fit_exponential_rate: the lags from 0 while the ACF stays
+# above FIT_THRESHOLD, at least MIN_FIT_LAGS of them.
 FIT_THRESHOLD = 0.1
 MIN_FIT_LAGS = 3
 
 
-def fit_exponential_rate(
-    acf: AcfEstimate, threshold: float = FIT_THRESHOLD, min_lags: int = MIN_FIT_LAGS
-) -> float:
-    """Least-squares decay rate from the window where the ACF exceeds ``threshold``.
+def fit_exponential_rate(acf: AcfEstimate) -> float:
+    """Least-squares decay rate from the window where the ACF exceeds FIT_THRESHOLD.
 
     Fits -log(acf) vs lag time over the contiguous window starting at lag 0
     and returns the slope.  The fit is weighted by the ACF value: the
     sampling noise of the ACF is roughly lag-independent, so after the log
     transform the residual noise grows like 1/acf and small values near the
     window edge would otherwise dominate.  Raises InsufficientDataError when
-    fewer than ``min_lags`` lags are usable.
+    fewer than MIN_FIT_LAGS lags are usable.
     """
-    above = acf.values > threshold
+    above = acf.values > FIT_THRESHOLD
     n_window = int(np.argmin(above)) if not above.all() else above.size
-    if n_window < min_lags:
+    if n_window < MIN_FIT_LAGS:
         raise InsufficientDataError(
-            f"only {n_window} lags above threshold {threshold}; need {min_lags}"
+            f"only {n_window} lags above threshold {FIT_THRESHOLD}; need {MIN_FIT_LAGS}"
         )
     t = acf.lags[:n_window]
     y = -np.log(acf.values[:n_window])

@@ -15,12 +15,12 @@ from thermodeco import (
     SimConfig,
     antisymmetry_residual,
     autocorrelation,
+    coupling_constant,
     decoherence_exponent,
     decoherence_scan,
     fit_exponential_rate,
     free_energy_hessian,
     from_modes,
-    noise_strength,
     parseval_check,
     relaxation_rate,
     sample_equilibrium_field,
@@ -33,7 +33,6 @@ from thermodeco import (
 )
 from thermodeco.influence import HistoryPair
 from thermodeco.langevin import ModeHistory
-from thermodeco.medium import ModeSpec
 from thermodeco.cli import main as cli_main
 
 UNIT = MediumParams(T0=1.0, c0=1.0, D0=1.0)
@@ -83,7 +82,7 @@ def test_criterion_02_rate_recovery():
 def _stationary_variance(params, k, dt, method, n_chains, t_burn, t_collect, seed):
     """Empirical stationary variance over an ensemble of independent chains."""
     step = step_exact_ou if method == "exact-ou" else step_euler_maruyama
-    stream = NoiseStream(noise_strength(params, k), seed, 0)
+    stream = NoiseStream(seed, 0)
     x = stream.normal(n_chains)  # equilibrium start (unit stationary variance)
     for _ in range(round(t_burn / dt)):
         x = step(params, k, x, dt, stream)
@@ -145,10 +144,10 @@ def test_criterion_05_static_imaginary_time_identity():
     worst = 0.0
     for _ in range(100):
         p = MediumParams(*rng.uniform(0.1, 10.0, 3))
-        modes = [ModeSpec(k, w) for k, w in
-                 zip(rng.uniform(0.1, 5.0, 5), rng.uniform(0.1, 2.0, 5))]
+        ks = rng.uniform(0.1, 5.0, 5)
+        ws = rng.uniform(0.1, 2.0, 5)
         worst = max(worst, static_free_energy_identity(
-            p, modes, rng.normal(size=5), rng.normal(size=5)))
+            p, ks, ws, rng.normal(size=5), rng.normal(size=5)))
     _report(5, "static imaginary-time identity", worst <= 1e-14, f"max residual={worst:.2e}")
 
 
@@ -176,7 +175,7 @@ def test_criterion_06_decoherence_scaling():
 
 def test_criterion_07_energy_fluctuation():
     tpl = LatticeField.zeros(1, 64, 1.0)
-    stream = NoiseStream(0.0, 31, 0)
+    stream = NoiseStream(31, 0)
     st = total_energy_fluctuation(UNIT, sample_equilibrium_field(UNIT, tpl, stream, 100_000))
     ok = abs(st.variance - 64.0) <= 3 * st.stderr_variance
     _report(7, "energy fluctuation = V c0 T0^2",
@@ -226,3 +225,28 @@ def test_criterion_10_determinism_across_workers(tmp_path):
     ok = outputs[1] == outputs[2] == outputs[8]
     _report(10, "byte-identical artifacts across 1/2/8 workers", ok,
             f"{len(outputs[1])} files compared")
+
+
+def test_criterion_11_decoherence_from_simulated_noise():
+    # |D| = E[exp(i A_k sum_n xi_n dT dt)] over windows of the simulated force xi must equal
+    # e^(-exponent/2), the exponent built from N_k = 2 Gamma_k A_k^2.  The branch difference
+    # scales as k, so the prediction is one number at every k and ties N_k to the 1/k^2 law.
+    dt, window = 0.01, 100
+    cfg = SimConfig(dt=dt, t_end=1e4, method="euler-maruyama", seed=20261018, initial=0.0)
+    ok = True
+    details = []
+    for i, k in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
+        x = simulate_mode(UNIT, k, cfg, substream=i).values
+        xi = (x[1:] - (1.0 - relaxation_rate(UNIT, k) * dt) * x[:-1]) / dt
+        amplitude = 0.5 * k
+        phases = coupling_constant(UNIT, k) * amplitude * dt * xi.reshape(-1, window).sum(axis=1)
+        cosines = np.cos(phases)
+        measured = float(cosines.mean())
+        stderr = float(cosines.std(ddof=1)) / math.sqrt(cosines.size)
+        pair = HistoryPair((ModeHistory(k, dt, np.full(window + 1, amplitude)),),
+                           (ModeHistory(k, dt, np.zeros(window + 1)),), (1.0,))
+        predicted = math.exp(-decoherence_exponent(UNIT, pair).total_exponent / 2.0)
+        z = (measured - predicted) / stderr
+        ok = ok and 0.5 <= predicted <= 0.8 and abs(z) <= 3.0
+        details.append(f"k={k}: {measured:.4f} vs {predicted:.4f} z={z:+.2f}")
+    _report(11, "decoherence from the simulated noise", ok, "; ".join(details))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermodeco import ModeHistory, ModeSpec, autocorrelation, fit_exponential_rate
+from thermodeco import ModeHistory, autocorrelation, fit_exponential_rate
 from thermodeco import cli, langevin
 from thermodeco.cli import (
     RunConfig,
@@ -107,7 +107,15 @@ def test_bad_flag_exits_2():
     ["simulate", "--k", "1", "--t-end", "5", "--max-lag", "-5"],
     ["deco-scan", "--k", "1", "--scan-steps", "18446744073709551616"],
     ["fdr-verify", "--k", "1e-160", "--burn-in", "0", "--t-end", "5"],
+    ["simulate", "--k-min", "1", "--dk", "1e308", "--k-count", "3"],
+    ["deco-scan", "--k-min", "1", "--dk", "1e308", "--k-count", "3"],
+    ["simulate", "--k-min", "1", "--dk=-1e308", "--k-count", "3"],
+    ["field-sample", "--k-min", "1", "--dk", "1e308", "--k-count", "3", "--n-fields", "10",
+     "--lattice-n", "4"],
+    ["simulate", "--k", "1", "--t-end", "1", "--workers", str(cli.MAX_WORKERS + 1)],
 ])
+# a numpy warning would be a second line of stderr
+@pytest.mark.filterwarnings("error")
 def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
@@ -525,11 +533,11 @@ def test_simulate_json_tables_match_per_value_encoder(tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     cfg = resolve_config(build_parser().parse_args(argv))
     params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
-    modes = [ModeSpec(0.0), ModeSpec(1.5)]
-    ensemble = simulate_ensemble(params, modes, 3, sim_config(cfg))
+    ks = [0.0, 1.5]
+    ensemble = simulate_ensemble(params, ks, 3, sim_config(cfg))
     for m, trajs in enumerate(ensemble):
         for i, values in enumerate(trajs):
-            hist = ModeHistory(modes[m].k, cfg.dt, values)
+            hist = ModeHistory(ks[m], cfg.dt, values)
             rows = [list(row) for row in zip(hist.times.tolist(), hist.values.tolist())]
             text = (tmp_path / f"mode{m}_traj{i}.json").read_text()
             assert text == per_value_json(["t", "delta_T"], rows, cfg)

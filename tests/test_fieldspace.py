@@ -86,14 +86,14 @@ def test_parseval_examples():
 
 def test_equilibrium_sampling_determinism():
     tpl = LatticeField.zeros(1, 8, 1.0)
-    f1 = sample_equilibrium_field(UNIT, tpl, NoiseStream(0.0, 5, 2))
-    f2 = sample_equilibrium_field(UNIT, tpl, NoiseStream(0.0, 5, 2))
+    f1 = sample_equilibrium_field(UNIT, tpl, NoiseStream(5, 2))
+    f2 = sample_equilibrium_field(UNIT, tpl, NoiseStream(5, 2))
     assert np.array_equal(f1.values, f2.values)
 
 
 def test_equilibrium_site_variance():
     tpl = LatticeField.zeros(1, 1, 1.0)
-    stream = NoiseStream(0.0, 3, 0)
+    stream = NoiseStream(3, 0)
     n = 100_000
     draws = sample_equilibrium_field(UNIT, tpl, stream, n).values[:, 0]
     assert abs(np.var(draws, ddof=1) - 1.0) <= 3 * math.sqrt(2.0 / n)
@@ -102,7 +102,7 @@ def test_equilibrium_site_variance():
 def test_equipartition_mean_free_energy():
     tpl = LatticeField.zeros(1, 16, 0.5)
     p = MediumParams(T0=2.0, c0=3.0, D0=1.0)
-    stream = NoiseStream(0.0, 4, 0)
+    stream = NoiseStream(4, 0)
     n = 20_000
     mean_df = mean_free_energy(p, sample_equilibrium_field(p, tpl, stream, n))
     expected = 16 * p.T0 / 2.0
@@ -124,14 +124,14 @@ def test_energy_fluctuation_zero_ensemble():
 
 def test_energy_fluctuation_matches_heat_capacity():
     tpl = LatticeField.zeros(1, 32, 1.0)
-    stream = NoiseStream(0.0, 6, 0)
+    stream = NoiseStream(6, 0)
     n = 20_000
     stats = total_energy_fluctuation(UNIT, sample_equilibrium_field(UNIT, tpl, stream, n))
     assert abs(stats.variance - 32.0) <= 3 * stats.stderr_variance
 
 
 def test_energy_fluctuation_extensive_in_volume():
-    stream = NoiseStream(0.0, 7, 0)
+    stream = NoiseStream(7, 0)
     n = 40_000
     out = {}
     for size in (16, 32):
@@ -144,7 +144,7 @@ def test_energy_fluctuation_extensive_in_volume():
 def test_single_site_energy_variance():
     p = MediumParams(T0=2.0, c0=3.0, D0=1.0)
     tpl = LatticeField.zeros(1, 1, 0.5)
-    stream = NoiseStream(0.0, 8, 0)
+    stream = NoiseStream(8, 0)
     stats = total_energy_fluctuation(p, sample_equilibrium_field(p, tpl, stream, 50_000))
     expected = p.c0 * p.T0 ** 2 * 0.5  # c0 T0^2 a for a single site
     assert abs(stats.variance - expected) <= 3 * stats.stderr_variance
@@ -152,7 +152,7 @@ def test_single_site_energy_variance():
 
 def test_equilibrium_free_energy_positive():
     tpl = LatticeField.zeros(1, 8, 1.0)
-    fld = sample_equilibrium_field(UNIT, tpl, NoiseStream(0.0, 9, 0))
+    fld = sample_equilibrium_field(UNIT, tpl, NoiseStream(9, 0))
     assert free_energy_change(UNIT, fld) > 0.0
 
 
@@ -163,8 +163,8 @@ def test_ensemble_matches_per_field_calls(data, d, n, seed):
     spacing = data.draw(st.lists(st.floats(1e-30, 1e30), min_size=d, max_size=d))
     p = MediumParams(T0=1.5, c0=2.0, D0=1.0, d=d)
     tpl = LatticeField.zeros(d, extents, spacing)
-    ensemble = sample_equilibrium_field(p, tpl, NoiseStream(0.0, seed, 3), n)
-    stream = NoiseStream(0.0, seed, 3)
+    ensemble = sample_equilibrium_field(p, tpl, NoiseStream(seed, 3), n)
+    stream = NoiseStream(seed, 3)
     rows = [sample_equilibrium_field(p, tpl, stream) for _ in range(n)]
     assert ensemble.values.shape == (n, *extents)
     assert np.array_equal(ensemble.values, np.stack([fld.values for fld in rows]))

@@ -11,7 +11,6 @@ from thermodeco import (
     InsufficientDataError,
     MediumParams,
     ModeHistory,
-    ModeSpec,
     SimConfig,
     SingularModeError,
     antisymmetry_residual,
@@ -152,20 +151,29 @@ def test_antisymmetry_100_random_pairs():
 
 
 def test_static_identity_examples():
-    modes = [ModeSpec(1.0, 1.0)]
-    assert static_free_energy_identity(UNIT, modes, [1.0], [1.0]) == 0.0
+    assert static_free_energy_identity(UNIT, [1.0], [1.0], [1.0], [1.0]) == 0.0
     # hand check: both sides 0.5 for (1, 0) at unit params
-    assert static_free_energy_identity(UNIT, modes, [1.0], [0.0]) <= 1e-14
+    assert static_free_energy_identity(UNIT, [1.0], [1.0], [1.0], [0.0]) <= 1e-14
+
+
+def test_static_identity_rejects_bad_input():
+    with pytest.raises(ValueError, match="weights must be positive"):
+        static_free_energy_identity(UNIT, [1.0, 2.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(SingularModeError):
+        static_free_energy_identity(UNIT, [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(GridMismatchError):
+        static_free_energy_identity(UNIT, [1.0, 2.0], [1.0], [1.0, 1.0], [0.0, 0.0])
 
 
 def test_static_identity_random():
     rng = np.random.default_rng(6)
     for _ in range(50):
         p = MediumParams(*rng.uniform(0.1, 10.0, 3))
-        modes = [ModeSpec(k, w) for k, w in zip(rng.uniform(0.1, 5.0, 4), rng.uniform(0.1, 2.0, 4))]
+        ks = rng.uniform(0.1, 5.0, 4)
+        ws = rng.uniform(0.1, 2.0, 4)
         a1 = rng.normal(size=4)
         a2 = rng.normal(size=4)
-        assert static_free_energy_identity(p, modes, a1, a2) <= 1e-14
+        assert static_free_energy_identity(p, ks, ws, a1, a2) <= 1e-14
 
 
 def test_decoherence_identical_branches():

@@ -10,7 +10,6 @@ from thermodeco import (
     METHOD_EULER,
     METHOD_EXACT,
     MediumParams,
-    ModeSpec,
     NoiseStream,
     SimConfig,
     deterministic_decay,
@@ -36,37 +35,39 @@ def test_sim_config_validation():
 
 
 def test_noise_stream_reproducible():
-    a = NoiseStream(1.0, seed=42, substream=3)
-    b = NoiseStream(1.0, seed=42, substream=3)
+    a = NoiseStream(seed=42, substream=3)
+    b = NoiseStream(seed=42, substream=3)
     assert np.array_equal(a.normal(100), b.normal(100))
-    c = NoiseStream(1.0, seed=42, substream=4)
-    assert not np.array_equal(NoiseStream(1.0, 42, 3).normal(100), c.normal(100))
+    c = NoiseStream(seed=42, substream=4)
+    assert not np.array_equal(NoiseStream(42, 3).normal(100), c.normal(100))
+    with pytest.raises(TypeError):  # a float seed is not read as an integer
+        NoiseStream(0.0, 31)
 
 
 def test_euler_step_deterministic_branch():
-    s = NoiseStream(0.0, seed=0)
+    s = NoiseStream(seed=0)
     assert step_euler_maruyama(UNIT, 1.0, 1.0, 0.1, s, noise_scale=0.0) == pytest.approx(0.9, rel=1e-15)
 
 
 def test_euler_step_conserved_mode():
-    s = NoiseStream(0.0, seed=0)
+    s = NoiseStream(seed=0)
     assert step_euler_maruyama(UNIT, 0.0, 0.37, 0.5, s) == 0.37
 
 
 def test_exact_step_deterministic_branch():
-    s = NoiseStream(0.0, seed=0)
+    s = NoiseStream(seed=0)
     x = step_exact_ou(UNIT, 1.0, 1.0, math.log(2.0), s, noise_scale=0.0)
     assert x == pytest.approx(0.5, rel=1e-14)
 
 
 def test_exact_step_conserved_mode():
-    s = NoiseStream(0.0, seed=0)
+    s = NoiseStream(seed=0)
     assert step_exact_ou(UNIT, 0.0, 0.7, 1.0, s) == 0.7
 
 
 def test_exact_step_one_step_variance():
     # transition variance from x=0 over dt=1 is 1 - e^-2
-    s = NoiseStream(1.0, seed=11)
+    s = NoiseStream(seed=11)
     x = step_exact_ou(UNIT, 1.0, np.zeros(1_000_000), 1.0, s)
     expected = 1.0 - math.exp(-2.0)
     stderr = expected * math.sqrt(2.0 / x.size)
@@ -114,7 +115,7 @@ def test_simulate_mode_matches_scalar_stepping(method, k, initial):
     step = {METHOD_EXACT: step_exact_ou, METHOD_EULER: step_euler_maruyama}[method]
     cfg = SimConfig(dt=0.1, t_end=2.0, method=method, seed=5, initial=initial)
     hist = simulate_mode(UNIT, k, cfg)
-    stream = NoiseStream(1.0, seed=5, substream=0)
+    stream = NoiseStream(seed=5, substream=0)
     x = initial
     vals = [x]
     for _ in range(cfg.n_steps):
@@ -160,7 +161,7 @@ def test_exact_stepper_composition():
     # step(dt1) then step(dt2) has the transition law of step(dt1+dt2)
     n = 100_000
     x0 = 1.5
-    s = NoiseStream(1.0, seed=21)
+    s = NoiseStream(seed=21)
     x = step_exact_ou(UNIT, 1.0, np.full(n, x0), 0.3, s)
     x = step_exact_ou(UNIT, 1.0, x, 0.7, s)
     mean_exp = x0 * math.exp(-1.0)
@@ -171,29 +172,29 @@ def test_exact_stepper_composition():
 
 def test_ensemble_matches_serial_and_simulate_mode():
     cfg = SimConfig(dt=0.05, t_end=2.0, seed=17, initial="sample-equilibrium")
-    modes = [ModeSpec(1.0), ModeSpec(2.0)]
-    serial = simulate_ensemble(UNIT, modes, 4, cfg, n_workers=1)
+    ks = [1.0, 2.0]
+    serial = simulate_ensemble(UNIT, ks, 4, cfg, n_workers=1)
     assert serial.shape == (2, 4, cfg.n_steps + 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # pool threads switch often while they write their rows
     try:
         for workers in (1, 2, 4):
-            ensemble = simulate_ensemble(UNIT, modes, 4, cfg, n_workers=workers)
+            ensemble = simulate_ensemble(UNIT, ks, 4, cfg, n_workers=workers)
             assert np.array_equal(ensemble, serial)
             for m in range(2):
                 for i in range(4):
-                    hist = simulate_mode(UNIT, modes[m].k, cfg, substream=m * 4 + i)
+                    hist = simulate_mode(UNIT, ks[m], cfg, substream=m * 4 + i)
                     assert np.array_equal(ensemble[m, i], hist.values)
     finally:
         sys.setswitchinterval(interval)
-    single = simulate_ensemble(UNIT, [ModeSpec(1.0)], 1, cfg)[0, 0]
+    single = simulate_ensemble(UNIT, [1.0], 1, cfg)[0, 0]
     assert np.array_equal(single, simulate_mode(UNIT, 1.0, cfg, substream=0).values)
 
 
 def test_ensemble_equilibrium_mean():
     cfg = SimConfig(dt=0.05, t_end=20.0, seed=8, initial="sample-equilibrium")
     n_traj = 4000
-    finals = simulate_ensemble(UNIT, [ModeSpec(1.0)], n_traj, cfg)[0, :, -1]
+    finals = simulate_ensemble(UNIT, [1.0], n_traj, cfg)[0, :, -1]
     assert abs(finals.mean()) <= 3 * math.sqrt(1.0 / n_traj)
 
 

@@ -5,7 +5,6 @@ from thermodeco import (
     DimensionMismatchError,
     LatticeField,
     MediumParams,
-    ModeSpec,
     SingularModeError,
     coupling_constant,
     equilibrium_mode_variance,
@@ -26,12 +25,6 @@ def test_params_validation():
         MediumParams(T0=1.0, c0=-1.0, D0=1.0)
     with pytest.raises(ValueError):
         MediumParams(T0=1.0, c0=1.0, D0=1.0, d=4)
-
-
-@pytest.mark.parametrize("T0", [1.0, 3.0, 0.7, 123.456])
-def test_beta0_inverse(T0):
-    p = MediumParams(T0=T0, c0=1.0, D0=1.0)
-    assert abs(p.beta0 * p.T0 - 1.0) <= 1e-15
 
 
 def test_relaxation_rate_values():
@@ -84,14 +77,6 @@ def test_k_squared_scaling():
         k = rng.uniform(0.01, 10.0)
         assert relaxation_rate(P243, 2 * k) == pytest.approx(4 * relaxation_rate(P243, k), rel=1e-14)
         assert noise_strength(P243, 2 * k) == pytest.approx(4 * noise_strength(P243, k), rel=1e-14)
-
-
-def test_mode_spec_validation():
-    ModeSpec(k=0.0, weight=1.0)
-    with pytest.raises(ValueError):
-        ModeSpec(k=-1.0)
-    with pytest.raises(ValueError):
-        ModeSpec(k=1.0, weight=0.0)
 
 
 def test_lattice_field_validation():
