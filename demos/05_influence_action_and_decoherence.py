@@ -13,7 +13,6 @@ import numpy as np
 from thermodeco import (
     HistoryPair,
     MediumParams,
-    ModeHistory,
     antisymmetry_residual,
     decoherence_scan,
     influence_action,
@@ -25,9 +24,11 @@ params = MediumParams(T0=1.0, c0=1.0, D0=1.0)
 rng = np.random.default_rng(3)
 n, dt, k = 50, 0.1, 1.0
 pair = HistoryPair(
-    branch1=(ModeHistory(k, dt, rng.normal(size=n)),),
-    branch2=(ModeHistory(k, dt, rng.normal(size=n)),),
-    weights=(1.0,),
+    ks=[k],
+    dt=dt,
+    branch1=rng.normal(size=(1, n)),
+    branch2=rng.normal(size=(1, n)),
+    weights=[1.0],
 )
 val = influence_action(params, pair)
 print(f"influence action: dissipative part {val.real:+.4f}, noise part {val.imag:.4f} (>= 0)")

@@ -59,6 +59,7 @@ from .fieldspace import (
     total_energy_fluctuation,
 )
 from .influence import (
+    DECO_DTYPE,
     DecoherenceResult,
     HistoryPair,
     InfluenceValue,

@@ -265,18 +265,11 @@ def _check_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
     if not positive:
         return
     k_low, k_high = min(positive), max(positive)
-
-    def exponent(k):
-        with np.errstate(over="ignore"):  # an overflowing sum of squares is inf: rejected below
-            return decoherence_scan(params, [k], cfg.amplitude, cfg.duration,
-                                    n_steps=cfg.scan_steps)[0][1]
-
     _finite(f"noise kernel N_k at k={k_low:g}", lambda: noise_kernel_amplitude(params, k_low))
-    _finite(f"decoherence exponent at k={k_low:g}", lambda: exponent(k_low))
-    try:
-        smallest = exponent(k_high)
-    except OverflowError:  # k_high ** 2 overflows, so N_k and the exponent underflow
-        smallest = 0.0
+    with np.errstate(over="ignore"):  # an overflowing sum of squares is inf: rejected below
+        largest, smallest = decoherence_scan(params, [k_low, k_high], cfg.amplitude, cfg.duration,
+                                             n_steps=cfg.scan_steps)["exponent"].tolist()
+    _finite(f"decoherence exponent at k={k_low:g}", lambda: largest)
     if not smallest >= sys.float_info.min:
         raise ConfigError(f"decoherence exponent at k={k_high:g} underflows to {smallest:g}")
 
@@ -335,10 +328,8 @@ def config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-# table layouts: a trajectory of one mode, and a decoherence scan (the rows of decoherence_scan)
+# the columns of a trajectory of one mode; a decoherence scan is its DECO_DTYPE table
 TRAJ_COLUMNS = ["t", "delta_T"]
-DECO_DTYPE = np.dtype([("k", float), ("exponent", float), ("magnitude", float),
-                       ("conserved_flag", bool)])
 
 
 class _TemplateMemo:
@@ -571,8 +562,8 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams):
 
 
 def run_deco_scan(cfg: RunConfig, params: MediumParams):
-    rows = np.array(decoherence_scan(params, wavenumbers(cfg), cfg.amplitude, cfg.duration,
-                                     n_steps=cfg.scan_steps), dtype=DECO_DTYPE)
+    rows = decoherence_scan(params, wavenumbers(cfg), cfg.amplitude, cfg.duration,
+                            n_steps=cfg.scan_steps)
     exponents = rows["exponent"]
     if not np.all(exponents[:-1] >= exponents[1:]):
         raise ConsistencyViolation("exponent not strictly decreasing in k")

@@ -12,49 +12,62 @@ Discretization: central time differences (one-sided at the endpoints)
 preserve the exact odd/even parity of the two terms under branch swap, so
 the antisymmetry A[1,2] = -conj(A[2,1]) holds to round-off; time integrals
 are left-Riemann sums, mode integrals use explicit per-mode weights.
+Each branch is one (modes x samples) array, and every mode is evaluated
+at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatchError, SingularModeError
-from .langevin import ModeHistory, drift_residual
+from .langevin import ModeHistory, _drift_operator, drift_residual
 from .medium import MediumParams, coupling_constant, relaxation_rate
+
+# a decoherence scan: one row per wavenumber, the table deco-scan writes
+DECO_DTYPE = np.dtype([("k", float), ("exponent", float), ("magnitude", float),
+                       ("conserved_flag", bool)])
 
 
 @dataclass(frozen=True)
 class HistoryPair:
-    """Two branch histories over identical mode sets and time grids.
+    """Two branch histories of the same modes on one time grid t_n = n dt.
 
-    branch1[m] and branch2[m] are ModeHistory objects for the same mode;
-    weights[m] is the mode-space quadrature weight.
+    ks and weights are (n_modes,) arrays of wavenumbers and positive mode-space
+    quadrature weights; branch1 and branch2 are (n_modes, n) arrays whose row m
+    is the history of mode ks[m] in that branch.
     """
 
-    branch1: tuple
-    branch2: tuple
-    weights: tuple
+    ks: np.ndarray
+    dt: float
+    branch1: np.ndarray
+    branch2: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        b1 = tuple(self.branch1)
-        b2 = tuple(self.branch2)
-        w = tuple(float(x) for x in np.atleast_1d(self.weights))
-        if not (len(b1) == len(b2) == len(w)) or not b1:
-            raise GridMismatchError("branches and weights must be non-empty and equal length")
-        for h1, h2 in zip(b1, b2):
-            if h1.k != h2.k or h1.dt != h2.dt or len(h1) != len(h2):
-                raise GridMismatchError("branches must share mode, dt and length")
-        if any(x <= 0 for x in w):
+        ks, b1, b2, w = (np.asarray(x, dtype=float)
+                         for x in (self.ks, self.branch1, self.branch2, self.weights))
+        if not (ks.ndim == 1 and w.shape == ks.shape and b1.ndim == 2
+                and b1.shape[0] == ks.size and b2.shape == b1.shape):
+            raise GridMismatchError("branches must be (len(ks), n) arrays of one shape and "
+                                    "weights one per wavenumber")
+        if ks.size == 0 or b1.shape[1] == 0:
+            raise ValueError("a pair needs at least one mode and one sample")
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
+            raise ValueError("history contains non-finite entries")
+        if not np.all(w > 0):
             raise ValueError("mode weights must be positive")
-        object.__setattr__(self, "branch1", b1)
-        object.__setattr__(self, "branch2", b2)
-        object.__setattr__(self, "weights", w)
+        for name, value in zip(("ks", "dt", "branch1", "branch2", "weights"),
+                               (ks, float(self.dt), b1, b2, w)):
+            object.__setattr__(self, name, value)
 
     def swapped(self) -> "HistoryPair":
-        return HistoryPair(self.branch2, self.branch1, self.weights)
+        return HistoryPair(self.ks, self.dt, self.branch2, self.branch1, self.weights)
 
 
 @dataclass(frozen=True)
@@ -70,10 +83,9 @@ class InfluenceValue:
 
 @dataclass(frozen=True)
 class DecoherenceResult:
-    """Per-mode and total decoherence exponents with magnitude e^(-total)."""
+    """Per-mode exponents as an (n_modes,) array, their total and the magnitude e^(-total)."""
 
-    k_values: tuple
-    per_mode: tuple
+    per_mode: np.ndarray
     total_exponent: float
     magnitude: float
     conserved_mode_diverged: bool
@@ -86,32 +98,41 @@ def dissipation_kernel_apply(
 
     Shares the discrete drift operator with the Langevin stepper module;
     annihilates the deterministic decay solution to O(dt^2) on interior
-    samples.
+    samples.  k <= 0 raises SingularModeError, as A_k diverges at k = 0.
     """
-    if k <= 0:
-        raise SingularModeError("dissipation kernel diverges at k = 0")
     return coupling_constant(params, k) * drift_residual(params, k, history)
 
 
-def noise_kernel_amplitude(params: MediumParams, k: float) -> float:
-    """Delta-correlated noise kernel amplitude N_k = 2 Gamma_k A_k^2 = 2 c0^2 / (D0 k^2)."""
-    if k <= 0:
-        raise SingularModeError("noise kernel diverges at k = 0")
-    return 2.0 * params.c0 ** 2 / (params.D0 * k ** 2)
+def noise_kernel_amplitude(params: MediumParams, k):
+    """Delta-correlated noise kernel amplitude N_k = 2 Gamma_k A_k^2 = 2 c0^2 / (D0 k^2).
 
-
-def _left_sum_sq(diff: np.ndarray) -> float:
-    """Left-Riemann sum of squares over all samples but the last (0.0 for one sample)."""
-    return float(np.dot(diff[:-1], diff[:-1]))
-
-
-def _noise_functional(params: MediumParams, k: float, weight: float, dt: float,
-                      sum_sq: float) -> float:
-    """Noise functional w_k dt N_k sum_n [dT_k]_n^2 of one mode, given that sum of squares.
-
-    Twice the mode's share of Im A and its decoherence exponent; k > 0.
+    A float for a wavenumber, an array for an array of them.  k^2 is C pow, as
+    Python's k ** 2 (numpy's k ** 2 is k * k, which rounds differently); where
+    it overflows or underflows, N_k is 0 or inf.
     """
-    return weight * dt * noise_kernel_amplitude(params, k) * sum_sq
+    ks = np.asarray(k, dtype=float)
+    if np.any(ks < 0):
+        raise ValueError("wavenumber must be non-negative")
+    if np.any(ks == 0):
+        raise SingularModeError("noise kernel diverges at k = 0")
+    with np.errstate(over="ignore", divide="ignore"):
+        return 2.0 * params.c0 ** 2 / (params.D0 * np.float_power(ks, 2))
+
+
+def _left_dot(a: np.ndarray, b: np.ndarray):
+    """Left-Riemann sum of a_n b_n along the last axis, all samples but the last (0 for one).
+
+    One sum per row, each summed as np.dot sums a pair of vectors.
+    """
+    return (a[..., None, :-1] @ b[..., :-1, None])[..., 0, 0]
+
+
+def _noise_functional(params: MediumParams, ks, weights, dt: float, sum_sq):
+    """Noise functional w_k dt N_k sum_n [dT_k]_n^2 per mode, given those sums of squares.
+
+    Twice the mode's share of Im A and its decoherence exponent; all k > 0.
+    """
+    return weights * dt * noise_kernel_amplitude(params, ks) * sum_sq
 
 
 def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
@@ -120,22 +141,16 @@ def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
     Re = 1/2 sum_k w_k sum_n dt [dT]_n A_k (D_c{dT}_n + gamma_k {dT}_n)
     Im = 1/2 sum_k w_k sum_n dt N_k [dT]_n^2                  (>= 0)
     with D_c the central time difference, N_k the noise kernel amplitude
-    and left-Riemann time sums.
+    and left-Riemann time sums.  Im is half the decoherence exponent.
     """
-    re = 0.0
-    im = 0.0
-    for h1, h2, w in zip(pair.branch1, pair.branch2, pair.weights):
-        k = h1.k
-        if k <= 0:
-            raise SingularModeError("influence action requires all k > 0")
-        dt = h1.dt
-        diff = h1.values - h2.values
-        total = ModeHistory(k=k, dt=dt, values=h1.values + h2.values)
-        dissipation = dissipation_kernel_apply(params, k, total)
-        # left-Riemann: drop the final sample of the integrands
-        re += w * 0.5 * dt * float(np.dot(diff[:-1], dissipation[:-1]))
-        im += 0.5 * _noise_functional(params, k, w, dt, _left_sum_sq(diff))
-    return InfluenceValue(real=re, imag=im)
+    ks = pair.ks.tolist()  # coupling_constant raises SingularModeError at k <= 0
+    coupling = np.array([coupling_constant(params, k) for k in ks])[:, None]
+    rate = np.array([relaxation_rate(params, k) for k in ks])[:, None]
+    dissipation = coupling * _drift_operator(pair.branch1 + pair.branch2, pair.dt, rate)
+    diff = pair.branch1 - pair.branch2
+    re = pair.weights * 0.5 * pair.dt * _left_dot(diff, dissipation)
+    return InfluenceValue(real=sum(re.tolist()),
+                          imag=0.5 * decoherence_exponent(params, pair).total_exponent)
 
 
 def antisymmetry_residual(params: MediumParams, pair: HistoryPair) -> float:
@@ -155,25 +170,20 @@ def static_free_energy_identity(params: MediumParams, ks, weights, amps1, amps2)
     the relative mismatch is pure round-off.  Normalized by the
     absolute-term sum to avoid cancellation blow-up.
     """
-    a1 = np.asarray(amps1, dtype=float)
-    a2 = np.asarray(amps2, dtype=float)
-    if not (len(ks) == len(weights) == a1.size == a2.size):
+    ks, w, a1, a2 = (np.asarray(x, dtype=float) for x in (ks, weights, amps1, amps2))
+    if not (ks.size == w.size == a1.size == a2.size):
         raise GridMismatchError("wavenumbers, weights and amplitude lists must have equal length")
-    if any(w <= 0 for w in weights):
+    if np.any(w <= 0):
         raise ValueError("mode weights must be positive")
-    lhs = 0.0
-    rhs = 0.0
-    scale = 0.0
-    for k, w, x1, x2 in zip(ks, weights, a1, a2):
-        if k <= 0:
-            raise SingularModeError("static identity requires all k > 0")
-        quad = x1 * x1 - x2 * x2
-        lhs += w * 0.5 * coupling_constant(params, k) * relaxation_rate(params, k) * quad
-        term = w * params.c0 / (2.0 * params.T0) * quad
-        rhs += term
-        scale += w * params.c0 / (2.0 * params.T0) * (x1 * x1 + x2 * x2)
-    denom = max(scale, np.finfo(float).tiny)
-    return abs(lhs - rhs) / denom
+    # coupling_constant raises SingularModeError at k <= 0
+    a_gamma = np.array([coupling_constant(params, k) * relaxation_rate(params, k)
+                        for k in ks.tolist()])
+    quad = a1 * a1 - a2 * a2
+    density = w * params.c0 / (2.0 * params.T0)
+    lhs = np.sum(w * 0.5 * a_gamma * quad)
+    rhs = np.sum(density * quad)
+    scale = np.sum(density * (a1 * a1 + a2 * a2))
+    return float(abs(lhs - rhs) / max(scale, np.finfo(float).tiny))
 
 
 def decoherence_exponent(params: MediumParams, pair: HistoryPair) -> DecoherenceResult:
@@ -182,29 +192,16 @@ def decoherence_exponent(params: MediumParams, pair: HistoryPair) -> Decoherence
     A k = 0 mode with any nonzero branch difference contributes +inf and
     sets the conserved-mode flag (magnitude 0: exactly decohered).
     """
-    ks = []
-    per_mode = []
-    conserved = False
-    for h1, h2, w in zip(pair.branch1, pair.branch2, pair.weights):
-        diff = h1.values - h2.values
-        ks.append(h1.k)
-        if h1.k == 0.0:
-            if np.any(diff != 0.0):
-                per_mode.append(math.inf)
-                conserved = True
-            else:
-                per_mode.append(0.0)
-            continue
-        per_mode.append(_noise_functional(params, h1.k, w, h1.dt, _left_sum_sq(diff)))
-    total = math.inf if conserved else float(sum(per_mode))
-    magnitude = 0.0 if math.isinf(total) else math.exp(-total)
-    return DecoherenceResult(
-        k_values=tuple(ks),
-        per_mode=tuple(per_mode),
-        total_exponent=total,
-        magnitude=magnitude,
-        conserved_mode_diverged=conserved,
-    )
+    diff = pair.branch1 - pair.branch2
+    damped = pair.ks != 0.0
+    diverged = ~damped & np.any(diff != 0.0, axis=-1)
+    per_mode = np.where(diverged, math.inf, 0.0)
+    per_mode[damped] = _noise_functional(params, pair.ks[damped], pair.weights[damped], pair.dt,
+                                         _left_dot(diff, diff)[damped])
+    total = sum(per_mode.tolist())
+    return DecoherenceResult(per_mode=per_mode, total_exponent=total,
+                             magnitude=math.exp(-total),
+                             conserved_mode_diverged=bool(diverged.any()))
 
 
 def decoherence_scan(
@@ -213,14 +210,14 @@ def decoherence_scan(
     amplitude: float,
     duration: float,
     n_steps: int = 100,
-) -> list[tuple[float, float, float, bool]]:
-    """Exponent and magnitude per k for a constant branch difference.
+) -> np.ndarray:
+    """Exponent and magnitude per k for a constant branch difference, as a DECO_DTYPE table.
 
-    The rows are those of ``decoherence_exponent`` on the pair with branch
-    difference ``amplitude`` held over ``duration`` (unit mode weight):
-    (k, exponent, magnitude, conserved_flag) sorted ascending in k.  The
-    difference is the same for every k, so its sum of squares is taken
-    once; a k = 0 row is (0.0, inf, 0.0, True).
+    Row m is that of ``decoherence_exponent`` on the one-mode pair at the m-th
+    smallest k with branch difference ``amplitude`` held over ``duration``
+    (unit mode weight): (k, exponent, magnitude, conserved_flag).  The
+    difference is the same for every k, so its sum of squares is taken once;
+    a k = 0 row is (0.0, inf, 0.0, True).
     """
     if not amplitude > 0:
         raise ValueError("amplitude must be positive")
@@ -229,12 +226,13 @@ def decoherence_scan(
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     dt = duration / n_steps
-    sum_sq = _left_sum_sq(np.full(n_steps + 1, amplitude))
-    rows = []
-    for k in sorted(float(k) for k in k_values):
-        if k == 0.0:
-            rows.append((k, math.inf, 0.0, True))
-        else:
-            exponent = _noise_functional(params, k, 1.0, dt, sum_sq)
-            rows.append((k, exponent, math.exp(-exponent), False))
+    difference = np.full(n_steps + 1, amplitude)
+    sum_sq = _left_dot(difference, difference)
+    # the table first, below the temporaries: freed, they leave no holes under it in the heap
+    rows = np.empty(len(k_values), dtype=DECO_DTYPE)
+    rows["k"] = np.sort(np.asarray(k_values, dtype=float))
+    rows["conserved_flag"] = conserved = rows["k"] == 0.0
+    rows["exponent"] = math.inf
+    rows["exponent"][~conserved] = _noise_functional(params, rows["k"][~conserved], 1.0, dt, sum_sq)
+    rows["magnitude"] = [math.exp(-e) for e in rows["exponent"].tolist()]
     return rows

@@ -256,15 +256,20 @@ def deterministic_decay(params: MediumParams, k: float, x0: float, t: float) -> 
 def drift_residual(params: MediumParams, k: float, history: ModeHistory) -> np.ndarray:
     """Discrete drift operator d/dt x + gamma_k x applied to a history.
 
-    Central differences on interior samples, one-sided at the endpoints.
     Vanishes (to O(dt^2)) on the deterministic decay solution.
     """
-    x = history.values
-    if x.size < 3:
+    return _drift_operator(history.values, history.dt, relaxation_rate(params, k))
+
+
+def _drift_operator(x: np.ndarray, dt: float, rate) -> np.ndarray:
+    """d/dt x + rate * x along the last axis of x; rate is a scalar or a column, one per row.
+
+    Central differences on interior samples, one-sided at the endpoints.
+    """
+    if x.shape[-1] < 3:
         raise InsufficientDataError("history must have at least 3 samples")
-    dt = history.dt
     deriv = np.empty_like(x)
-    deriv[1:-1] = (x[2:] - x[:-2]) / (2.0 * dt)
-    deriv[0] = (x[1] - x[0]) / dt
-    deriv[-1] = (x[-1] - x[-2]) / dt
-    return deriv + relaxation_rate(params, k) * x
+    deriv[..., 1:-1] = (x[..., 2:] - x[..., :-2]) / (2.0 * dt)
+    deriv[..., 0] = (x[..., 1] - x[..., 0]) / dt
+    deriv[..., -1] = (x[..., -1] - x[..., -2]) / dt
+    return deriv + rate * x

@@ -32,7 +32,6 @@ from thermodeco import (
     total_energy_fluctuation,
 )
 from thermodeco.influence import HistoryPair
-from thermodeco.langevin import ModeHistory
 from thermodeco.cli import main as cli_main
 
 UNIT = MediumParams(T0=1.0, c0=1.0, D0=1.0)
@@ -132,9 +131,9 @@ def test_criterion_04_influence_antisymmetry():
         ks = rng.uniform(0.2, 5.0, 3)
         ws = rng.uniform(0.1, 2.0, 3)
         n = 30
-        b1 = tuple(ModeHistory(k, 0.1, rng.normal(size=n)) for k in ks)
-        b2 = tuple(ModeHistory(k, 0.1, rng.normal(size=n)) for k in ks)
-        pair = HistoryPair(b1, b2, tuple(ws))
+        b1 = np.array([rng.normal(size=n) for _ in ks])
+        b2 = np.array([rng.normal(size=n) for _ in ks])
+        pair = HistoryPair(ks, 0.1, b1, b2, ws)
         worst = max(worst, antisymmetry_residual(UNIT, pair))
     _report(4, "influence-action antisymmetry", worst <= 1e-12, f"max residual={worst:.2e}")
 
@@ -158,16 +157,14 @@ def test_criterion_06_decoherence_scaling():
     ok = True
     for k in (0.5, 1.0, 2.0, 4.0):
         def exponent(kk):
-            pair = HistoryPair((ModeHistory(kk, 0.1, diff),),
-                               (ModeHistory(kk, 0.1, zeros),), (1.0,))
+            pair = HistoryPair([kk], 0.1, [diff], [zeros], [1.0])
             return decoherence_exponent(UNIT, pair).total_exponent
         ratio = exponent(k) / exponent(2 * k)
         ok = ok and abs(ratio - 4.0) <= 1e-14 * 4.0
     rows = decoherence_scan(UNIT, [0.5, 1.0, 2.0, 4.0], amplitude=0.1, duration=10.0)
-    exps = [r[1] for r in rows]
+    exps = rows["exponent"].tolist()
     ok = ok and all(a > b for a, b in zip(exps, exps[1:]))
-    pair0 = HistoryPair((ModeHistory(0.0, 0.1, diff),),
-                        (ModeHistory(0.0, 0.1, zeros),), (1.0,))
+    pair0 = HistoryPair([0.0], 0.1, [diff], [zeros], [1.0])
     res0 = decoherence_exponent(UNIT, pair0)
     ok = ok and res0.magnitude == 0.0 and res0.conserved_mode_diverged
     _report(6, "decoherence k^-2 scaling", ok, f"scan exponents={exps}")
@@ -243,8 +240,8 @@ def test_criterion_11_decoherence_from_simulated_noise():
         cosines = np.cos(phases)
         measured = float(cosines.mean())
         stderr = float(cosines.std(ddof=1)) / math.sqrt(cosines.size)
-        pair = HistoryPair((ModeHistory(k, dt, np.full(window + 1, amplitude)),),
-                           (ModeHistory(k, dt, np.zeros(window + 1)),), (1.0,))
+        pair = HistoryPair([k], dt, [np.full(window + 1, amplitude)], [np.zeros(window + 1)],
+                           [1.0])
         predicted = math.exp(-decoherence_exponent(UNIT, pair).total_exponent / 2.0)
         z = (measured - predicted) / stderr
         ok = ok and 0.5 <= predicted <= 0.8 and abs(z) <= 3.0

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermodeco import ModeHistory, autocorrelation, fit_exponential_rate
+from thermodeco import DECO_DTYPE, ModeHistory, autocorrelation, fit_exponential_rate
 from thermodeco import cli, langevin
 from thermodeco.cli import (
     RunConfig,
@@ -370,7 +371,8 @@ def test_deco_scan_unresolvable_k_exits_2(tmp_path, capsys, ks, message):
 
 
 def test_deco_scan_increasing_exponent_exits_4(tmp_path, capsys, monkeypatch):
-    rows = [(1.0, 0.1, math.exp(-0.1), False), (2.0, 0.2, math.exp(-0.2), False)]
+    rows = np.array([(1.0, 0.1, math.exp(-0.1), False), (2.0, 0.2, math.exp(-0.2), False)],
+                    dtype=DECO_DTYPE)
     monkeypatch.setattr("thermodeco.cli.decoherence_scan", lambda *args, **kwargs: rows)
     out = tmp_path / "o"
     assert main(["deco-scan", "--k", "1,2", "--out", str(out)]) == 4
@@ -586,9 +588,12 @@ def test_cli_exit_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        # numpy warnings go through warnings, not sys.stderr: recorded, none allowed on exit 2
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(argv + ["--out", str(out)])
         assert rc in (0, 1, 2, 3, 4)
         if rc == 2:
             assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+            assert not caught, [str(w.message) for w in caught]
             assert not out.exists()

@@ -30,29 +30,39 @@ P243 = MediumParams(T0=2.0, c0=4.0, D0=0.5)
 
 
 def _pair(k, dt, v1, v2, w=1.0):
-    return HistoryPair(
-        (ModeHistory(k, dt, np.asarray(v1, dtype=float)),),
-        (ModeHistory(k, dt, np.asarray(v2, dtype=float)),),
-        (w,),
-    )
+    return HistoryPair([k], dt, [v1], [v2], [w])
 
 
 def _random_pair(rng, n_modes=3, n=25, dt=0.1):
     ks = rng.uniform(0.2, 5.0, n_modes)
     ws = rng.uniform(0.1, 2.0, n_modes)
-    b1 = tuple(ModeHistory(k, dt, rng.normal(size=n)) for k in ks)
-    b2 = tuple(ModeHistory(k, dt, rng.normal(size=n)) for k in ks)
-    return HistoryPair(b1, b2, tuple(ws))
+    b1 = np.array([rng.normal(size=n) for _ in ks])
+    b2 = np.array([rng.normal(size=n) for _ in ks])
+    return HistoryPair(ks, dt, b1, b2, ws)
 
 
 def test_history_pair_grid_mismatch():
-    h1 = ModeHistory(1.0, 0.1, np.zeros(5))
-    h2 = ModeHistory(1.0, 0.2, np.zeros(5))
-    with pytest.raises(GridMismatchError):
-        HistoryPair((h1,), (h2,), (1.0,))
-    h3 = ModeHistory(2.0, 0.1, np.zeros(5))
-    with pytest.raises(GridMismatchError):
-        HistoryPair((h1,), (h3,), (1.0,))
+    for ks, b1, b2, ws in [
+        ([1.0, 2.0], np.zeros((1, 5)), np.zeros((1, 5)), [1.0, 1.0]),  # rows != len(ks)
+        ([1.0], np.zeros((1, 5)), np.zeros((1, 6)), [1.0]),  # branch shapes differ
+        ([1.0], np.zeros((1, 5)), np.zeros((2, 5)), [1.0]),
+        ([1.0], np.zeros(5), np.zeros(5), [1.0]),  # a branch is not (modes, samples)
+        ([1.0, 2.0], np.zeros((2, 5)), np.zeros((2, 5)), [1.0]),  # weights length differs
+    ]:
+        with pytest.raises(GridMismatchError):
+            HistoryPair(ks, 0.1, b1, b2, ws)
+
+
+@pytest.mark.parametrize("dt, b1, b2, ws, message", [
+    (0.1, [[0.0, np.nan]], [[0.0, 0.0]], [1.0], "non-finite"),
+    (0.1, [[0.0, 0.0]], [[np.inf, 0.0]], [1.0], "non-finite"),
+    (0.0, [[0.0, 0.0]], [[0.0, 0.0]], [1.0], "dt must be positive"),
+    (0.1, np.zeros((1, 0)), np.zeros((1, 0)), [1.0], "at least one mode and one sample"),
+    (0.1, [[0.0, 0.0]], [[0.0, 0.0]], [0.0], "weights must be positive"),
+])
+def test_history_pair_rejects_bad_values(dt, b1, b2, ws, message):
+    with pytest.raises(ValueError, match=message):
+        HistoryPair([1.0], dt, b1, b2, ws)
 
 
 def test_dissipation_kernel_constant_history():
@@ -94,6 +104,11 @@ def test_noise_kernel_values():
     assert noise_kernel_amplitude(P243, 3.0) == pytest.approx(2 * 1.125 * (16 / 9) ** 2, rel=1e-14)
     with pytest.raises(SingularModeError):
         noise_kernel_amplitude(UNIT, 0.0)
+    for negative in (lambda: noise_kernel_amplitude(UNIT, -2.0),
+                     lambda: decoherence_scan(UNIT, [-1.0], amplitude=0.1, duration=1.0),
+                     lambda: decoherence_exponent(UNIT, _pair(-1.0, 0.1, [1.0, 1.0], [0.0, 0.0]))):
+        with pytest.raises(ValueError, match="wavenumber must be non-negative"):
+            negative()
 
 
 def test_noise_kernel_identity_2T0A():
@@ -222,6 +237,25 @@ def test_decoherence_matches_twice_noise_action():
         assert exp == 2.0 * im
 
 
+def test_pair_modes_match_one_mode_pairs():
+    # every mode at once equals the mode-by-mode loop, summed in mode order
+    rng = np.random.default_rng(10)
+    pair = _random_pair(rng, n_modes=4)
+    ks = np.concatenate([[0.0], pair.ks])
+    b1 = np.vstack([rng.normal(size=(1, 25)), pair.branch1])
+    b2 = np.vstack([rng.normal(size=(1, 25)), pair.branch2])
+    ws = np.concatenate([[1.0], pair.weights])
+    singles = [_pair(k, pair.dt, x1, x2, w) for k, x1, x2, w in zip(pair.ks, pair.branch1,
+                                                                   pair.branch2, pair.weights)]
+    exponents = [decoherence_exponent(P243, one).total_exponent for one in singles]
+    action = influence_action(P243, pair)
+    assert action.real == sum(influence_action(P243, one).real for one in singles)
+    assert action.imag == 0.5 * sum(exponents)
+    res = decoherence_exponent(P243, HistoryPair(ks, pair.dt, b1, b2, ws))
+    assert res.per_mode.tolist() == [math.inf] + exponents
+    assert res.total_exponent == math.inf and res.conserved_mode_diverged
+
+
 def test_decoherence_one_sample_spans_no_time():
     res = decoherence_exponent(P243, _pair(1.5, 0.1, [0.3], [0.0]))
     assert res.total_exponent == 0.0
@@ -243,7 +277,7 @@ def test_decoherence_scan_conserved_row():
     assert rows[0][0] == 0.0
     assert math.isinf(rows[0][1])
     assert rows[0][2] == 0.0
-    assert rows[0][3] is True
+    assert rows["conserved_flag"].tolist() == [True, False]
 
 
 def test_decoherence_scan_single_k():
@@ -271,5 +305,19 @@ def test_decoherence_scan_matches_explicit_pairs(medium, ks, amplitude, duration
         res = decoherence_exponent(params, _pair(k, dt, np.full(n_steps + 1, amplitude),
                                                  np.zeros(n_steps + 1)))
         expected.append((k, res.total_exponent, res.magnitude, res.conserved_mode_diverged))
-    assert rows == expected
-    assert repr(rows) == repr(expected)
+    assert rows.tolist() == expected
+    assert repr(rows.tolist()) == repr(expected)
+
+
+def test_decoherence_scan_arithmetic_on_the_sweep_grid():
+    # N_k squares k with C pow (Python's k ** 2), and each magnitude is math.exp: numpy's
+    # k * k and np.exp round differently at some of these points
+    ks = 0.0 + np.arange(100000) * 1e-4
+    amplitude, duration, n_steps = 0.001, 10.0, 1000
+    rows = decoherence_scan(UNIT, ks, amplitude, duration, n_steps)
+    dt = duration / n_steps
+    sum_sq = float(np.dot(np.full(n_steps, amplitude), np.full(n_steps, amplitude)))
+    expected = [math.inf] + [1.0 * dt * (2.0 * UNIT.c0 ** 2 / (UNIT.D0 * k ** 2)) * sum_sq
+                             for k in ks[1:].tolist()]
+    assert np.array_equal(rows["exponent"], expected)
+    assert np.array_equal(rows["magnitude"], [math.exp(-e) for e in expected])
