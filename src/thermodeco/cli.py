@@ -21,6 +21,8 @@ import json
 import math
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -43,7 +45,6 @@ from .langevin import (
     METHOD_EULER,
     METHOD_EXACT,
     SAMPLE_EQUILIBRIUM,
-    ModeHistory,
     NoiseStream,
     SimConfig,
     _step_coefficients,
@@ -59,9 +60,10 @@ from .medium import (
 from .stats import (
     FIT_THRESHOLD,
     MIN_FIT_LAGS,
-    autocorrelation,
+    StreamStats,
+    autocorrelation,  # unused here; perfbench/traced.py wraps it by this name
     fit_exponential_rate,
-    sample_variance,
+    sample_variance,  # unused here; perfbench/traced.py wraps it by this name
     variance_stderr_correlated,
 )
 
@@ -478,24 +480,40 @@ def _within_3sigma(estimate: float, expected: float, stderr: float) -> bool:
             and abs(estimate - expected) <= 3.0 * stderr)
 
 
-def _fit_rate(cfg: RunConfig, k: float, post: np.ndarray) -> float:
-    """Decay rate fitted to the ACF of post-burn-in samples; InsufficientDataError if too few."""
-    if post.size < MIN_FIT_LAGS:
-        raise InsufficientDataError(f"{post.size} samples after burn-in, the fit needs {MIN_FIT_LAGS}")
-    acf = autocorrelation(ModeHistory(k, cfg.dt, post), min(cfg.max_lag, post.size - 1))
-    return fit_exponential_rate(acf)
+def _chunks(row: np.ndarray):
+    """A whole history cut where langevin.simulate_chunks cuts it."""
+    return (row[start : start + langevin.CHUNK] for start in range(0, row.size, langevin.CHUNK))
 
 
-def _estimate_mode(params: MediumParams, cfg: RunConfig, k: float, trajs: np.ndarray):
-    """Estimates from a mode's (n_traj, n) trajectories: gamma_k, the burn-in steps, the
-    sample_variance of all post-burn-in samples in trajectory order (None below 2 samples),
-    and the rate fitted on trajectory 0 after burn-in, or the InsufficientDataError."""
+def _prefetched(items):
+    """The items of an iterator in order, each next one computed on a worker thread while
+    the caller works on this one.  An error of the iterator is raised in place of its item;
+    closed early, it waits for the item in flight and leaves no thread running."""
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(next, items, None)
+        while (item := ahead.result()) is not None:
+            ahead = pool.submit(next, items, None)
+            yield item
+
+
+def _estimate_mode(params: MediumParams, cfg: RunConfig, k: float, trajs):
+    """Estimates from a mode's trajectories, each an iterable of its chunks in order, cut
+    where langevin.simulate_chunks cuts (so that every caller sums in the same order):
+    gamma_k, the burn-in steps, the moments of all post-burn-in samples pooled in trajectory
+    order (None below 2 samples), and the rate fitted on trajectory 0 after burn-in, or the
+    InsufficientDataError."""
     gamma = relaxation_rate(params, k)
     n_burn = _burn_in_steps(cfg, gamma)
-    post = trajs[:, n_burn:]
-    st = sample_variance(post) if post.size >= 2 else None  # ravels one copy, row after row
-    try:
-        rate = _fit_rate(cfg, k, post[0])
+    n_post = sim_config(cfg).n_steps + 1 - n_burn
+    stats = StreamStats(max(min(cfg.max_lag, n_post - 1), 0))
+    for i, chunks in enumerate(trajs):
+        start = 0
+        for chunk in chunks:
+            stats.add(chunk[max(n_burn - start, 0):], lags=i == 0)
+            start += chunk.size
+    st = stats.moments() if stats.n >= 2 else None
+    try:  # below MIN_FIT_LAGS samples either the ACF or the fit raises
+        rate = fit_exponential_rate(stats.acf(cfg.dt))
     except InsufficientDataError as exc:
         rate = exc
     return gamma, n_burn, st, rate
@@ -509,7 +527,7 @@ def run_simulate(cfg: RunConfig, params: MediumParams):
     for m, k in enumerate(ks):
         for i in range(cfg.n_traj):
             yield f"mode{m}_traj{i}", np.rec.fromarrays([t, ensemble[m, i]], names=TRAJ_COLUMNS)
-        gamma, n_burn, st, rate = _estimate_mode(params, cfg, k, ensemble[m])
+        gamma, n_burn, st, rate = _estimate_mode(params, cfg, k, map(_chunks, ensemble[m]))
         entry = {
             "k": k,
             "expected_rate": gamma,
@@ -531,14 +549,15 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams):
     sim = sim_config(cfg)
     report = []
     all_pass = True
-    for k in wavenumbers(cfg):
+    for m, k in enumerate(wavenumbers(cfg)):
         if k == 0.0:
             report.append({"k": 0.0, "skipped": "conserved mode (zero rate, zero noise)"})
             continue
-        # one trajectory on substream 0, freed before the next mode is simulated; called
-        # through langevin, as simulate_ensemble calls it, so a wrapper there sees both commands
-        gamma, _, st, rate = _estimate_mode(params, cfg, k,
-                                            langevin.simulate_mode(params, k, sim).values[None])
+        # one trajectory on substream m * n_traj (n_traj is 1), as simulate draws it; streamed:
+        # the next chunk is simulated while this one is reduced, and no history is kept
+        stream = langevin.simulate_chunks(params, k, sim, m * cfg.n_traj)
+        with closing(_prefetched(stream)) as chunks:
+            gamma, _, st, rate = _estimate_mode(params, cfg, k, [chunks])
         expected = equilibrium_mode_variance(params)
         stderr = variance_stderr_correlated(expected, st.n, gamma, cfg.dt)
         var_pass = _within_3sigma(st.variance, expected, stderr)
@@ -630,6 +649,8 @@ _COMMANDS = {
     "deco-scan": (_check_scan, run_deco_scan),
     "field-sample": (_check_fields, run_field_sample),
 }
+# the commands whose summaries are reduced through BLAS; they run on one BLAS thread
+_ONE_BLAS_THREAD = ("simulate", "fdr-verify")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -645,6 +666,33 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's bundled OpenBLAS on one thread inside the block, its thread count restored
+    after, so that summaries reduced through BLAS do not depend on the thread count.  If the
+    library or its thread functions are not found, one stderr line says so and the block
+    runs unpinned."""
+    import ctypes
+
+    try:
+        path = next(Path(np.__path__[0]).parent.glob("numpy.libs/libscipy_openblas64_*"))
+        lib = ctypes.CDLL(str(path))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError) as exc:
+        print(f"note: BLAS thread count not pinned ({type(exc).__name__}: {exc}); summaries "
+              f"reduced through BLAS may depend on it", file=sys.stderr)
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 _NO_MEMORY = "run does not fit in memory: "
@@ -667,15 +715,17 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"config error: {_NO_MEMORY}{exc}", file=sys.stderr)
         return EXIT_CONFIG
+    blas = _one_blas_thread() if args.command in _ONE_BLAS_THREAD else nullcontext()
     try:
-        return _write(cfg, run(cfg, params))
+        with blas:
+            return _write(cfg, run(cfg, params))
     except ConfigError as exc:
         code, message = EXIT_CONFIG, f"config error: {exc}"
     except OSError as exc:
         code, message = EXIT_IO, f"i/o error: {exc}"
     except MemoryError as exc:
         code, message = EXIT_CONFIG, f"config error: {_NO_MEMORY}{exc}"
-    except ConsistencyViolation as exc:
+    except (ConsistencyViolation, ValueError) as exc:  # checked configs raise no ValueError
         code, message = EXIT_INTERNAL, f"internal consistency violation: {exc}"
     print(message, file=sys.stderr)
     return code

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -275,31 +276,142 @@ def test_fdr_verify_passes(tmp_path):
     assert report["tests"][0]["rate_pass"] is True
 
 
-def test_fdr_verify_frees_each_history_before_the_next(tmp_path, monkeypatch):
-    # traced memory when each mode's simulation starts, and its peak during that simulation
-    live, peak = [], []
+# runs the remaining arguments as a command and prints its peak resident set in MiB from
+# wait4.  A child's peak starts at the resident set of the process that forked it, so the
+# command is started from this small process, not from the test's
+WAIT4_PEAK = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:]); "
+              "_, status, usage = os.wait4(proc.pid, 0); print(usage.ru_maxrss / 1024); "
+              "sys.exit(os.waitstatus_to_exitcode(status))")
 
-    def traced(*args, **kwargs):
-        live.append(tracemalloc.get_traced_memory()[0])
-        tracemalloc.reset_peak()
-        try:
-            return simulate_mode(*args, **kwargs)
-        finally:
-            peak.append(tracemalloc.get_traced_memory()[1])
 
-    argv = ["fdr-verify", "--k", "1,2,3", "--t-end", "2000", "--out", str(tmp_path / "o")]
-    main(argv)  # imports what a first run imports, so that is not counted below
-    monkeypatch.setattr(langevin, "simulate_mode", traced)
+def cold(argv: list[str], **env) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_fdr_verify_streams_a_long_run_in_bounded_memory(tmp_path):
+    # t_end / dt + 1 = 1e7 samples, 80 MB as one array: a whole history and its noise buffer
+    # peaked at ~200 MiB
+    proc = cold(["-c", WAIT4_PEAK, sys.executable, "-m", "thermodeco.cli", "fdr-verify",
+                 "--k", "2", "--t-end", "100000", "--out", str(tmp_path / "o")])
+    assert proc.returncode in (0, 1), proc.stderr
+    assert float(proc.stdout) < 100
+
+
+def test_fdr_verify_holds_a_few_chunks_per_mode(tmp_path, monkeypatch):
+    monkeypatch.setattr(langevin, "CHUNK", 16384)
+    # 800001 samples per mode, 49 chunks; max_lag 50 keeps the lag sums' blocks small.  A
+    # whole history and its noise buffer would be 98 chunks
+    argv = ["fdr-verify", "--k", "1,2,3", "--t-end", "8000", "--max-lag", "50",
+            "--out", str(tmp_path / "o")]
+    main(argv)  # imports and first-use set-up, not counted below
     tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
         rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc in (0, 1) and len(live) == 3
-    history = 8 * (200000 + 1)  # t_end / dt + 1 float64 samples
-    assert (live[1] - live[0]) / history < 0.5
-    # a simulation holds its noise buffer and the history filtered from it
-    assert (peak[1] - live[0]) / history < 2.5
+    assert rc in (0, 1)
+    assert (peak - base) / (8 * langevin.CHUNK) < 8
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    ("memory", 2, "config error: run does not fit in memory: "),
+    ("non-finite", 4, "internal consistency violation: history contains non-finite entries"),
+])
+def test_fdr_verify_stream_failure_ends_the_run(tmp_path, capsys, monkeypatch, fault, code,
+                                                 message):
+    monkeypatch.setattr(langevin, "CHUNK", 4096)
+    simulate_chunks = langevin.simulate_chunks
+
+    def faulty(*args, **kwargs):
+        # the burn-in ends in the first chunk: the fault comes mid-stream, after it
+        chunks = simulate_chunks(*args, **kwargs)
+        yield next(chunks)
+        if fault == "memory":
+            raise MemoryError("no room for the second chunk")
+        bad = next(chunks).copy()
+        bad[7] = np.nan
+        yield bad
+        yield from chunks
+
+    monkeypatch.setattr(langevin, "simulate_chunks", faulty)
+    before = set(threading.enumerate())
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(main(
+        ["fdr-verify", "--k", "1,2", "--t-end", "400", "--burn-in", "5",
+         "--out", str(tmp_path / "o")])))
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive() and codes == [code]
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert set(threading.enumerate()) <= before
+    assert not (tmp_path / "o").exists()
+
+
+def test_summaries_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the lag sums and moments are BLAS products and dots, which OpenBLAS splits by thread
+    for argv in (["simulate", "--k", "1,2", "--t-end", "2000", "--n-traj", "2"],
+                 ["fdr-verify", "--k", "1,2", "--t-end", "2000"]):
+        outs = {}
+        for threads in ("1", "2"):
+            outs[threads] = tmp_path / f"{argv[0]}-{threads}"
+            proc = cold(["-m", "thermodeco.cli", *argv, "--out", str(outs[threads])],
+                        OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode in (0, 1) and proc.stderr == ""
+        files = sorted(p.name for p in outs["1"].iterdir())
+        assert files == sorted(p.name for p in outs["2"].iterdir())
+        for name in files:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+def blas_threads() -> int:
+    import ctypes
+
+    libs = list(Path(np.__path__[0]).parent.glob("numpy.libs/libscipy_openblas64_*"))
+    if not libs:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    return ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_()
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["simulate", "--k", "1", "--t-end", "50"], True),
+    (["fdr-verify", "--k", "1", "--t-end", "400"], True),
+    (["deco-scan", "--k", "0,1"], False),
+    (["field-sample", "--lattice-n", "8", "--n-fields", "50"], False),
+])
+def test_simulate_and_fdr_verify_run_on_one_blas_thread(tmp_path, monkeypatch, argv, pinned):
+    before = blas_threads()
+    during = []
+    blas_runs = cli._one_blas_thread
+
+    def recorded():
+        during.append(None)
+        return blas_runs()
+
+    monkeypatch.setattr(cli, "_one_blas_thread", recorded)
+    fit = cli.fit_exponential_rate
+    monkeypatch.setattr(cli, "fit_exponential_rate",
+                        lambda acf: during.append(blas_threads()) or fit(acf))
+    assert main(argv + ["--out", str(tmp_path / "o")]) in (0, 1)
+    assert during == ([None, 1] if pinned else [])
+    assert blas_threads() == before
+
+
+def test_unpinned_run_says_so_once(tmp_path, capsys, monkeypatch):
+    import ctypes
+
+    def unloadable(name):
+        raise OSError(f"{name}: cannot open")
+
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert main(["fdr-verify", "--k", "1", "--t-end", "400", "--seed", "2",
+                 "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("note: BLAS thread count not pinned (OSError: ") and err.count("\n") == 1
 
 
 def test_simulate_and_fdr_verify_share_one_estimator(tmp_path):
@@ -311,6 +423,27 @@ def test_simulate_and_fdr_verify_share_one_estimator(tmp_path):
     test = read_json(tmp_path / "f" / "fdr_report.json")["tests"][0]
     assert mode["sample_variance"] == test["variance"]
     assert mode["fitted_rate"] == test["fitted_rate"]
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, 10 ** 6])
+def test_simulate_and_fdr_verify_agree_at_any_chunk_size(tmp_path, monkeypatch, chunk):
+    # 3001 samples, 100 of them burn-in: one sample per chunk, chunks that are no multiple of
+    # the 400-sample lag block, and one chunk larger than the history.  Mode m draws
+    # substream m in both commands
+    monkeypatch.setattr(langevin, "CHUNK", chunk)
+    common = ["--k", "2,1", "--t-end", "30", "--burn-in", "1"]
+    assert main(["simulate", *common, "--out", str(tmp_path / "s")]) == 0
+    assert main(["fdr-verify", *common, "--out", str(tmp_path / "f")]) in (0, 1)
+    modes = read_json(tmp_path / "s" / "summary.json")["modes"]
+    tests = read_json(tmp_path / "f" / "fdr_report.json")["tests"]
+    for m, (mode, test) in enumerate(zip(modes, tests)):
+        assert mode["sample_variance"] == test["variance"]
+        assert mode["fitted_rate"] == test["fitted_rate"]
+        _, rows = read_csv_rows(tmp_path / "s" / f"mode{m}_traj0.csv")
+        post = np.array([float(r[1]) for r in rows])[mode["burn_in_steps"]:]
+        assert mode["sample_variance"] == pytest.approx(np.var(post, ddof=1), rel=1e-12)
+        acf = autocorrelation(ModeHistory(mode["k"], 0.01, post), 400)
+        assert mode["fitted_rate"] == pytest.approx(fit_exponential_rate(acf), rel=1e-12)
 
 
 def test_fdr_verify_detects_corrupted_noise(tmp_path):

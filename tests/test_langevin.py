@@ -19,6 +19,7 @@ from thermodeco import (
     step_euler_maruyama,
     step_exact_ou,
 )
+from thermodeco import langevin
 from thermodeco.langevin import _linear_filter
 
 UNIT = MediumParams(T0=1.0, c0=1.0, D0=1.0)
@@ -123,6 +124,21 @@ def test_simulate_mode_matches_scalar_stepping(method, k, initial):
         vals.append(x)
     # bytes, not just ==: at k = 0 (alpha 1, scale 0) the sign of each zero is the stepper's
     assert hist.values.tobytes() == np.array(vals).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 10 ** 6])
+@pytest.mark.parametrize("initial", ["sample-equilibrium", -0.0])
+def test_chunks_are_pieces_of_the_history(monkeypatch, chunk, initial):
+    cfg = SimConfig(dt=0.1, t_end=20.0, seed=5, initial=initial)
+    whole = simulate_mode(UNIT, 1.0, cfg, substream=3).values
+    monkeypatch.setattr(langevin, "CHUNK", chunk)
+    chunks = list(langevin.simulate_chunks(UNIT, 1.0, cfg, substream=3))
+    assert [c.size for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    assert 1 <= chunks[-1].size <= chunk
+    # each chunk is a new array, bitwise the piece of the whole history
+    assert not any(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    assert simulate_mode(UNIT, 1.0, cfg, substream=3).values.tobytes() == whole.tobytes()
 
 
 # alpha = e^(-gamma dt) or 1 - gamma dt: the ends, both zeros and subnormals, then any

@@ -18,6 +18,7 @@ from thermodeco import (
     simulate_mode,
     variance_stderr_correlated,
 )
+from thermodeco.stats import StreamStats
 
 UNIT = MediumParams(T0=1.0, c0=1.0, D0=1.0)
 
@@ -99,6 +100,59 @@ def test_acf_block_boundaries(n, max_lag):
     x = np.random.default_rng(n).normal(size=n)
     acf = autocorrelation(ModeHistory(1.0, 0.1, x), max_lag)
     assert np.max(np.abs(acf.values - _acf_per_lag(x, max_lag))) <= 1e-12
+
+
+@st.composite
+def _stream_case(draw):
+    """(n, burn-in, max_lag, chunk): max_lag 0, 1, past the chunk or clamped to the
+    post-burn-in length; chunks of one sample, of no multiple of the lag block, or longer
+    than the history."""
+    n = draw(st.integers(2, 3000))
+    burn = draw(st.integers(0, n - 2))
+    last = n - burn - 1
+    chunk_kind = draw(st.sampled_from(["one", "off-block", "beyond", "any"]))
+    lag_kind = draw(st.sampled_from(["zero", "one", "past-chunk", "clamp", "any"]))
+    chunk = {"one": 1, "beyond": n + draw(st.integers(1, 100))}.get(
+        chunk_kind, draw(st.integers(1, 700)))
+    lag = {"zero": 0, "one": 1, "clamp": last}.get(
+        lag_kind, draw(st.integers(min(chunk + 1, last) if lag_kind == "past-chunk" else 0, last)))
+    if chunk_kind == "off-block":
+        block = min(max(lag, 16), 512)
+        chunk = block * draw(st.integers(0, 3)) + draw(st.integers(1, block - 1))
+    return n, burn, lag, chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_stream_case(), seed=st.integers(0, 2**32 - 1), mean=st.sampled_from([0.0, 3.0]))
+def test_stream_stats_match_one_array(case, seed, mean):
+    n, burn, max_lag, chunk = case
+    x = np.random.default_rng(seed).normal(mean, 1.0, size=n)
+    stats = StreamStats(max_lag)
+    for start in range(0, n, chunk):  # chunks cut at absolute boundaries, burn-in dropped
+        stats.add(x[start : start + chunk][max(burn - start, 0):])
+    post = x[burn:]
+    scale = float(np.dot(post, post))
+    assert stats.n == stats.n_lag == post.size
+    assert stats.moments().variance == pytest.approx(np.var(post, ddof=1), rel=1e-12)
+    assert stats.sum_sq == pytest.approx(scale, rel=1e-12)
+    ref = np.array([np.dot(post[:-lag], post[lag:]) for lag in range(1, max_lag + 1)])
+    assert stats.lag_sums().shape == (max_lag,)
+    assert np.all(np.abs(stats.lag_sums() - ref) <= 1e-12 * scale)
+
+
+def test_stream_stats_pool_moments_and_refuse_non_finite():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=1000), rng.normal(2.0, 3.0, size=700)
+    stats = StreamStats(5)
+    stats.add(a)
+    stats.add(b, lags=False)  # into the moments only
+    both = np.concatenate((a, b))
+    assert stats.moments().variance == pytest.approx(np.var(both, ddof=1), rel=1e-12)
+    assert stats.moments().mean == pytest.approx(both.mean(), rel=1e-12)
+    assert stats.n_lag == 1000 and stats.sum_sq == pytest.approx(np.dot(a, a), rel=1e-12)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="history contains non-finite entries"):
+            StreamStats(5).add(np.array([1.0, bad, 2.0]))
 
 
 def test_acf_constant_history():

@@ -27,7 +27,7 @@ def run(args: list[str]) -> subprocess.CompletedProcess:
 # the entry point of the layer each subcommand exercises
 ENTRY = {
     "simulate": "langevin.simulate_ensemble",
-    "fdr-verify": "stats.autocorrelation",
+    "fdr-verify": "stats.fit_exponential_rate",
     "deco-scan": "influence.decoherence_scan",
     "field-sample": "fieldspace.sample_equilibrium_field",
 }
