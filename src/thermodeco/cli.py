@@ -35,10 +35,11 @@ from .errors import InsufficientDataError
 from .fieldspace import (
     equilibrium_energy_variance,
     equilibrium_site_variance,
-    mean_free_energy,
+    mean_free_energy,  # unused here; perfbench/traced.py wraps it by this name
     parseval_check,
     sample_equilibrium_field,
-    total_energy_fluctuation,
+    total_energy_change,
+    total_energy_fluctuation,  # unused here; perfbench/traced.py wraps it by this name
 )
 from .influence import decoherence_scan, noise_kernel_amplitude
 from .langevin import (
@@ -54,6 +55,7 @@ from .medium import (
     LatticeField,
     MediumParams,
     equilibrium_mode_variance,
+    free_energy_change,
     noise_strength,
     relaxation_rate,
 )
@@ -63,7 +65,7 @@ from .stats import (
     StreamStats,
     autocorrelation,  # unused here; perfbench/traced.py wraps it by this name
     fit_exponential_rate,
-    sample_variance,  # unused here; perfbench/traced.py wraps it by this name
+    sample_variance,
     variance_stderr_correlated,
 )
 
@@ -280,8 +282,9 @@ def _check_fields(cfg: RunConfig, params: MediumParams, ks: list[float]):
     """Ensemble size and overflow constraints of a lattice sample."""
     if cfg.n_fields < 2:
         raise ConfigError("n_fields must be >= 2")
+    _check_array_size("n_fields per-field values", cfg.n_fields)
+    _check_array_size("lattice_n^d sites of one field", cfg.lattice_n ** cfg.d)
     template = lattice_template(cfg)  # LatticeField checks lattice_n and lattice_a
-    _check_array_size("n_fields * lattice_n^d site values", cfg.n_fields * template.n_sites)
     var = _finite("site variance T0^2/(c0*lattice_a^d)",
                   lambda: equilibrium_site_variance(params, template))
     _finite("n_sites * site variance", lambda: template.n_sites * var)
@@ -594,17 +597,31 @@ def run_deco_scan(cfg: RunConfig, params: MediumParams):
 
 
 def run_field_sample(cfg: RunConfig, params: MediumParams):
+    """Draw the fields from one stream in blocks of about langevin.CHUNK sites, keeping each
+    field's energy and free energy: the bytes of one whole-ensemble draw.  The per-field
+    arrays come first, so an n_fields beyond memory fails at once."""
     template = lattice_template(cfg)
     stream = NoiseStream(cfg.seed)
-    ensemble = sample_equilibrium_field(params, template, stream, cfg.n_fields, cfg.noise_scale)
-    st = total_energy_fluctuation(params, ensemble)
+    du, df = np.empty(cfg.n_fields), np.empty(cfg.n_fields)
+    block = max(1, langevin.CHUNK // template.n_sites)
+    residuals = []
+    with np.errstate(over="ignore"):  # an overflowing field gives an inf estimate: gated below
+        for start in range(0, cfg.n_fields, block):
+            stop = min(start + block, cfg.n_fields)
+            batch = sample_equilibrium_field(params, template, stream, stop - start,
+                                             cfg.noise_scale)
+            du[start:stop] = total_energy_change(params, batch)
+            df[start:stop] = free_energy_change(params, batch)
+            # the Parseval check runs on the first 10 fields; a block of one is one field
+            rows = batch.values.reshape(-1, *template.extents)[:max(0, 10 - start)]
+            residuals += [parseval_check(template.with_values(row)) for row in rows]
+        st = sample_variance(du)
+        mean_df = float(np.mean(df))
     expected = equilibrium_energy_variance(params, template)
     du_pass = _within_3sigma(st.variance, expected, st.stderr_variance)
-
-    residual = max(parseval_check(template.with_values(row)) for row in ensemble.values[:10])
+    residual = max(residuals)
     parseval_pass = residual <= 1e-12
 
-    mean_df = mean_free_energy(params, ensemble)
     expected_df = template.n_sites * params.T0 / 2.0
     # free energy of an equilibrium field is a chi^2 sum: sd = sqrt(n_sites/2) * T0
     stderr_df = math.sqrt(template.n_sites / 2.0) * params.T0 / math.sqrt(cfg.n_fields)

@@ -5,8 +5,8 @@ the spatial mean; Parseval's identity then reads
 sum_sites cell_volume * dT^2 = V * sum_modes |c_m|^2.  Also provides exact
 equilibrium field sampling from the Gaussian measure exp(-beta0 * dF),
 which is site-diagonal on the lattice, and the total-energy fluctuation
-statistic whose variance equals the heat capacity times T0^2.  An ensemble
-is sampled and reduced as one LatticeField shaped (n_fields, *extents).
+statistic whose variance equals the heat capacity times T0^2.  A block of
+fields, a LatticeField shaped (n, *extents), is sampled and reduced per field.
 """
 
 from __future__ import annotations

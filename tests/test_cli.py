@@ -31,8 +31,14 @@ from thermodeco.cli import (
     sim_config,
     write_table,
 )
+from thermodeco.fieldspace import (
+    mean_free_energy,
+    parseval_check,
+    sample_equilibrium_field,
+    total_energy_fluctuation,
+)
 from thermodeco.langevin import simulate_ensemble, simulate_mode
-from thermodeco.medium import MediumParams
+from thermodeco.medium import LatticeField, MediumParams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -115,6 +121,8 @@ def test_bad_flag_exits_2():
     ["field-sample", "--k-min", "1", "--dk", "1e308", "--k-count", "3", "--n-fields", "10",
      "--lattice-n", "4"],
     ["simulate", "--k", "1", "--t-end", "1", "--workers", str(cli.MAX_WORKERS + 1)],
+    ["field-sample", "--n-fields", "1152921504606846976"],
+    ["field-sample", "--d", "3", "--lattice-n", "2097152"],
 ])
 # a numpy warning would be a second line of stderr
 @pytest.mark.filterwarnings("error")
@@ -126,11 +134,24 @@ def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-# prints the peak resident set in MiB after main; the limit makes an allocation that comes
-# before its size check fail fast instead of filling the machine's memory
+# runs the remaining arguments as a command and prints its peak resident set in MiB from
+# wait4.  A child's peak starts at the resident set of the process that forked it, so the
+# command is started from this small process, not from the test's
+WAIT4_PEAK = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:]); "
+              "_, status, usage = os.wait4(proc.pid, 0); print(usage.ru_maxrss / 1024); "
+              "sys.exit(os.waitstatus_to_exitcode(status))")
+
+
+def cold(argv: list[str], **env) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=120)
+
+
+# the limit makes an allocation that comes before its size check fail fast instead of
+# filling the machine's memory
 UNDER_2_GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-               "from thermodeco.cli import main; rc = main(sys.argv[1:]); "
-               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024); sys.exit(rc)")
+               "from thermodeco.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
 @pytest.mark.parametrize("argv", [
@@ -139,13 +160,11 @@ UNDER_2_GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 
     # under numpy's array size limit, beyond the memory limit: each fails at its one allocation
     ["simulate", "--k-count", "1099511627776"],
     ["simulate", "--k", "1", "--t-end", "5", "--n-traj", "1099511627776"],
+    ["field-sample", "--n-fields", "1099511627776"],
 ])
 def test_huge_size_exits_2_before_it_allocates(tmp_path, argv):
     out = tmp_path / "o"
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", UNDER_2_GIB, *argv, "--out", str(out)],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-                          timeout=120)
+    proc = cold(["-c", WAIT4_PEAK, sys.executable, "-c", UNDER_2_GIB, *argv, "--out", str(out)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
     assert not out.exists()
@@ -274,20 +293,6 @@ def test_fdr_verify_passes(tmp_path):
     assert report["all_pass"] is True
     assert report["tests"][0]["variance_pass"] is True
     assert report["tests"][0]["rate_pass"] is True
-
-
-# runs the remaining arguments as a command and prints its peak resident set in MiB from
-# wait4.  A child's peak starts at the resident set of the process that forked it, so the
-# command is started from this small process, not from the test's
-WAIT4_PEAK = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:]); "
-              "_, status, usage = os.wait4(proc.pid, 0); print(usage.ru_maxrss / 1024); "
-              "sys.exit(os.waitstatus_to_exitcode(status))")
-
-
-def cold(argv: list[str], **env) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path, **env),
-                          capture_output=True, text=True, timeout=120)
 
 
 def test_fdr_verify_streams_a_long_run_in_bounded_memory(tmp_path):
@@ -551,6 +556,44 @@ def test_field_sample_noise_scale_fails_energy_gate(tmp_path):
     assert report["energy_variance_pass"] is False
     # the gate's expectation stays the unscaled equilibrium
     assert report["expected_energy_variance"] == 64.0
+
+
+# blocks of 1 field (each drawn as one lattice), of 3 fields with a partial last block, and
+# one block of all 23 fields.  At seed 4 a field after the 10th has the largest Parseval
+# residual, so a residual over more than the first 10 fields would show
+@pytest.mark.parametrize("chunk", [1, 3 * 64, 10 ** 6])
+def test_field_sample_streams_the_whole_ensemble_bitwise(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(langevin, "CHUNK", chunk)
+    out = tmp_path / "o"
+    assert main(["field-sample", "--d", "2", "--lattice-n", "8", "--lattice-a", "0.5",
+                 "--T0", "1.5", "--c0", "2", "--n-fields", "23", "--seed", "4",
+                 "--out", str(out)]) == 0
+    report = read_json(out / "field_summary.json")
+    params = MediumParams(T0=1.5, c0=2.0, D0=1.0, d=2)
+    template = LatticeField.zeros(2, (8, 8), 0.5)
+    ensemble = sample_equilibrium_field(params, template, langevin.NoiseStream(4), 23)
+    st = total_energy_fluctuation(params, ensemble)
+    assert report["energy_variance"] == st.variance
+    assert report["energy_variance_stderr"] == st.stderr_variance
+    assert report["mean_free_energy"] == mean_free_energy(params, ensemble)
+    assert report["parseval_residual"] == max(parseval_check(template.with_values(row))
+                                              for row in ensemble.values[:10])
+
+
+def test_field_sample_streams_in_bounded_memory(tmp_path):
+    # 1e5 fields x 64 sites, 51 MB as one array: the ensemble and its squared and scaled
+    # copies peaked at ~135 MiB
+    proc = cold(["-c", WAIT4_PEAK, sys.executable, "-m", "thermodeco.cli", "field-sample",
+                 "--lattice-n", "64", "--n-fields", "100000", "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 60
+
+
+def test_overflowed_field_sample_prints_no_warning(tmp_path, capfd):
+    out = tmp_path / "o"
+    assert main(["field-sample", "--T0", "1.6e153", "--n-fields", "100", "--out", str(out)]) == 1
+    assert capfd.readouterr().err == ""
+    assert read_json(out / "field_summary.json")["energy_variance"] == "inf"
 
 
 CELLS = {
