@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -589,6 +590,17 @@ def test_field_sample_streams_in_bounded_memory(tmp_path):
     assert float(proc.stdout) < 60
 
 
+def test_deco_scan_writes_in_bounded_memory(tmp_path):
+    # the benchmark's 1e5-wavenumber JSON scan (9.8 MB): with the whole table's text held at
+    # once, its lead-column template, cell lists and text peaked at ~74 MiB
+    proc = cold(["-c", WAIT4_PEAK, sys.executable, "-m", "thermodeco.cli", "deco-scan",
+                 "--format", "json", "--k-min", "0", "--dk", "0.0001", "--k-count", "100000",
+                 "--scan-steps", "1000", "--amplitude", "0.001", "--duration", "10",
+                 "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 55
+
+
 def test_overflowed_field_sample_prints_no_warning(tmp_path, capfd):
     out = tmp_path / "o"
     assert main(["field-sample", "--T0", "1.6e153", "--n-fields", "100", "--out", str(out)]) == 1
@@ -619,6 +631,10 @@ def tables(draw, kinds=st.sampled_from(sorted(CELLS, key=str))):
     return _table(types, [draw(st.lists(CELLS[t], min_size=n, max_size=n)) for t in types])
 
 
+# block sizes at which the tables below, of 0 to 8 rows, cross block edges, and the default
+BLOCKS = [1, 2, 3, cli.BLOCK_ROWS]
+
+
 def _written(fmt: str, names, rows) -> str:
     cfg = RunConfig(format=fmt)
     with tempfile.TemporaryDirectory() as tmp:
@@ -643,14 +659,18 @@ def per_value_csv_end(names, py_rows) -> str:
 @given(tables())
 def test_json_table_matches_indent_encoder(table):
     names, rows, py_rows = table
-    assert _written("json", names, rows) == per_value_json(names, py_rows)
+    for block in BLOCKS:
+        with mock.patch.object(cli, "BLOCK_ROWS", block):
+            assert _written("json", names, rows) == per_value_json(names, py_rows), block
 
 
 @settings(max_examples=100, deadline=None)
 @given(tables(kinds=st.sampled_from([float, float, bool])))
 def test_csv_table_matches_per_value_fmt(table):
     names, rows, py_rows = table
-    assert _written("csv", names, rows).endswith(per_value_csv_end(names, py_rows))
+    for block in BLOCKS:
+        with mock.patch.object(cli, "BLOCK_ROWS", block):
+            assert _written("csv", names, rows).endswith(per_value_csv_end(names, py_rows)), block
 
 
 def _zeros_swapped(col: list[float]) -> list[float]:
@@ -694,15 +714,16 @@ EXAMPLE_RUN = [
 @example(data=None)
 def test_table_sequence_matches_per_value_text(fmt, kinds, data):
     runs = EXAMPLE_RUN if data is None else data.draw(table_runs(st.sampled_from(kinds)))
-    with tempfile.TemporaryDirectory() as tmp:
-        _write(RunConfig(format=fmt, out=tmp),
-               ((f"t{i}", rows) for i, (_, rows, _) in enumerate(runs)))
-        for i, (names, _, py_rows) in enumerate(runs):
-            text = (Path(tmp) / f"t{i}.{fmt}").read_text()
-            if fmt == "json":
-                assert text == per_value_json(names, py_rows)
-            else:
-                assert text.endswith(per_value_csv_end(names, py_rows))
+    for block in BLOCKS:
+        with mock.patch.object(cli, "BLOCK_ROWS", block), tempfile.TemporaryDirectory() as tmp:
+            _write(RunConfig(format=fmt, out=tmp),
+                   ((f"t{i}", rows) for i, (_, rows, _) in enumerate(runs)))
+            for i, (names, _, py_rows) in enumerate(runs):
+                text = (Path(tmp) / f"t{i}.{fmt}").read_text()
+                if fmt == "json":
+                    assert text == per_value_json(names, py_rows), block
+                else:
+                    assert text.endswith(per_value_csv_end(names, py_rows)), block
 
 
 def test_simulate_json_tables_match_per_value_encoder(tmp_path):
