@@ -22,12 +22,15 @@ print(f"medium: T0={params.T0}, c0={params.c0}, D0={params.D0}")
 print(f"equilibrium mode variance T0^2/c0 = {equilibrium_mode_variance(params)}")
 print()
 print(f"{'k':>6} {'gamma_k':>12} {'Gamma_k':>12} {'Gamma/gamma':>12} {'A_k':>12}")
-for k in (0.0, 0.5, 1.0, 2.0, 4.0):
-    g = relaxation_rate(params, k)
-    G = noise_strength(params, k)
-    ratio = G / g if g > 0 else float("nan")
-    a_k = coupling_constant(params, k) if k > 0 else float("inf")
-    print(f"{k:6.2f} {g:12.6f} {G:12.6f} {ratio:12.6f} {a_k:12.6f}")
+ks = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+g = relaxation_rate(params, ks)
+G = noise_strength(params, ks)
+damped = ks > 0
+ratio = np.divide(G, g, out=np.full_like(ks, np.nan), where=damped)
+a_k = np.full_like(ks, np.inf)
+a_k[damped] = coupling_constant(params, ks[damped])  # A_k diverges on the conserved mode
+for row in zip(ks, g, G, ratio, a_k):
+    print("{:6.2f} {:12.6f} {:12.6f} {:12.6f} {:12.6f}".format(*row))
 
 print()
 print("note: Gamma/gamma is the same for every k > 0, and the k = 0 row is")

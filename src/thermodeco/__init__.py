@@ -23,6 +23,7 @@ from .medium import (
     equilibrium_mode_variance,
     free_energy_change,
     free_energy_hessian,
+    noise_kernel_amplitude,
     noise_strength,
     relaxation_rate,
 )
@@ -68,6 +69,5 @@ from .influence import (
     decoherence_scan,
     dissipation_kernel_apply,
     influence_action,
-    noise_kernel_amplitude,
     static_free_energy_identity,
 )

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, SingularModeError
+from .errors import GridMismatchError
 from .langevin import ModeHistory, _drift_operator, drift_residual
-from .medium import MediumParams, coupling_constant, relaxation_rate
+from .medium import MediumParams, coupling_constant, noise_kernel_amplitude, relaxation_rate
 
 # a decoherence scan: one row per wavenumber, the table deco-scan writes
 DECO_DTYPE = np.dtype([("k", float), ("exponent", float), ("magnitude", float),
@@ -98,25 +98,9 @@ def dissipation_kernel_apply(
 
     Shares the discrete drift operator with the Langevin stepper module;
     annihilates the deterministic decay solution to O(dt^2) on interior
-    samples.  k <= 0 raises SingularModeError, as A_k diverges at k = 0.
+    samples.  k = 0 raises SingularModeError, as A_k diverges there.
     """
     return coupling_constant(params, k) * drift_residual(params, k, history)
-
-
-def noise_kernel_amplitude(params: MediumParams, k):
-    """Delta-correlated noise kernel amplitude N_k = 2 Gamma_k A_k^2 = 2 c0^2 / (D0 k^2).
-
-    A float for a wavenumber, an array for an array of them.  k^2 is C pow, as
-    Python's k ** 2 (numpy's k ** 2 is k * k, which rounds differently); where
-    it overflows or underflows, N_k is 0 or inf.
-    """
-    ks = np.asarray(k, dtype=float)
-    if np.any(ks < 0):
-        raise ValueError("wavenumber must be non-negative")
-    if np.any(ks == 0):
-        raise SingularModeError("noise kernel diverges at k = 0")
-    with np.errstate(over="ignore", divide="ignore"):
-        return 2.0 * params.c0 ** 2 / (params.D0 * np.float_power(ks, 2))
 
 
 def _left_dot(a: np.ndarray, b: np.ndarray):
@@ -143,9 +127,8 @@ def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
     with D_c the central time difference, N_k the noise kernel amplitude
     and left-Riemann time sums.  Im is half the decoherence exponent.
     """
-    ks = pair.ks.tolist()  # coupling_constant raises SingularModeError at k <= 0
-    coupling = np.array([coupling_constant(params, k) for k in ks])[:, None]
-    rate = np.array([relaxation_rate(params, k) for k in ks])[:, None]
+    coupling = coupling_constant(params, pair.ks)[:, None]  # SingularModeError at k = 0
+    rate = relaxation_rate(params, pair.ks)[:, None]
     dissipation = coupling * _drift_operator(pair.branch1 + pair.branch2, pair.dt, rate)
     diff = pair.branch1 - pair.branch2
     re = pair.weights * 0.5 * pair.dt * _left_dot(diff, dissipation)
@@ -175,9 +158,7 @@ def static_free_energy_identity(params: MediumParams, ks, weights, amps1, amps2)
         raise GridMismatchError("wavenumbers, weights and amplitude lists must have equal length")
     if np.any(w <= 0):
         raise ValueError("mode weights must be positive")
-    # coupling_constant raises SingularModeError at k <= 0
-    a_gamma = np.array([coupling_constant(params, k) * relaxation_rate(params, k)
-                        for k in ks.tolist()])
+    a_gamma = coupling_constant(params, ks) * relaxation_rate(params, ks)  # singular at k = 0
     quad = a1 * a1 - a2 * a2
     density = w * params.c0 / (2.0 * params.T0)
     lhs = np.sum(w * 0.5 * a_gamma * quad)

@@ -1,11 +1,11 @@
 """Background thermodynamic state and closed-form kinetic coefficients.
 
 Everything downstream (relaxation rates, noise strengths, coupling
-constants, the free-energy functional and the equilibrium measure) is a
-closed-form function of the background state: temperature T0, specific
-heat c0, diffusion constant D0, and the spatial dimension.  Boltzmann's
-constant is 1 throughout; all quantities are in self-consistent natural
-units.
+constants, the noise kernel, the free-energy functional and the
+equilibrium measure) is a closed-form function of the background state:
+temperature T0, specific heat c0, diffusion constant D0, and the spatial
+dimension.  Boltzmann's constant is 1 throughout; all quantities are in
+self-consistent natural units.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .errors import DimensionMismatchError, SingularModeError
 class MediumParams:
     """Uniform background state of the heat-conducting medium.
 
-    T0: background temperature (> 0)
-    c0: specific heat per unit volume at T0 (> 0)
-    D0: heat diffusion constant (> 0)
+    T0: background temperature (> 0, finite)
+    c0: specific heat per unit volume at T0 (> 0, finite)
+    D0: heat diffusion constant (> 0, finite)
     d:  spatial dimension (1, 2 or 3)
 
     beta0 = 1 / T0 is the inverse temperature of the equilibrium measure exp(-beta0 * dF).
@@ -36,8 +36,8 @@ class MediumParams:
     d: int = 1
 
     def __post_init__(self):
-        if not (self.T0 > 0 and self.c0 > 0 and self.D0 > 0):
-            raise ValueError("T0, c0 and D0 must all be positive")
+        if not all(0 < v < math.inf for v in (self.T0, self.c0, self.D0)):
+            raise ValueError("T0, c0 and D0 must all be positive and finite")
         if not 1 <= self.d <= 3:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
 
@@ -103,32 +103,47 @@ class LatticeField:
         return LatticeField(d, shape, spacing, np.zeros(shape))
 
 
-def relaxation_rate(params: MediumParams, k: float) -> float:
-    """Decay rate gamma_k = D0 k^2 / c0 of mode k; exactly 0 for k = 0."""
-    if k < 0:
-        raise ValueError("wavenumber must be non-negative")
-    if k == 0.0:
-        return 0.0
-    return params.D0 * k * k / params.c0
+def _per_mode(params: MediumParams, k, coefficient, diverges: str | None = None):
+    """A per-mode coefficient, coefficient(D0 k^2), of a wavenumber or an array of them.
 
-
-def noise_strength(params: MediumParams, k: float) -> float:
-    """Noise strength Gamma_k = D0 k^2 T0^2 / c0^2; zero on the conserved mode."""
-    if k < 0:
-        raise ValueError("wavenumber must be non-negative")
-    if k == 0.0:
-        return 0.0
-    return params.D0 * k * k * params.T0 ** 2 / params.c0 ** 2
-
-
-def coupling_constant(params: MediumParams, k: float) -> float:
-    """Coupling A_k = c0^2 / (D0 k^2 T0), equivalently T0 / Gamma_k.
-
-    Diverges on the conserved mode: k = 0 raises SingularModeError.
+    A float k gives a Python float, an array an array.  D0 k^2 is D0 * k * k, left to
+    right: the one place a wavenumber is squared.  A negative k raises ValueError.  A
+    coefficient singular on the conserved mode names itself in ``diverges`` and raises
+    SingularModeError at k = 0.  Where D0 k^2 or the coefficient overflows, or D0 k^2
+    underflows to 0, the coefficient is 0 or inf, without a numpy warning.
     """
-    if k <= 0:
-        raise SingularModeError("coupling constant diverges at k = 0")
-    return params.c0 ** 2 / (params.D0 * k * k * params.T0)
+    ks = np.asarray(k, dtype=float)
+    if np.any(ks < 0):
+        raise ValueError("wavenumber must be non-negative")
+    if diverges and np.any(ks == 0):
+        raise SingularModeError(f"{diverges} diverges at k = 0")
+    with np.errstate(over="ignore", divide="ignore"):
+        value = coefficient(params.D0 * ks * ks)
+    return value if value.ndim else float(value)
+
+
+def relaxation_rate(params: MediumParams, k):
+    """Decay rate gamma_k = D0 k^2 / c0 of mode k; exactly 0 for k = 0."""
+    return _per_mode(params, k, lambda d0k2: d0k2 / params.c0)
+
+
+def noise_strength(params: MediumParams, k):
+    """Noise strength Gamma_k = D0 k^2 T0^2 / c0^2; zero on the conserved mode."""
+    return _per_mode(params, k, lambda d0k2: d0k2 * params.T0 ** 2 / params.c0 ** 2)
+
+
+def coupling_constant(params: MediumParams, k):
+    """Coupling A_k = c0^2 / (D0 k^2 T0), equivalently T0 / Gamma_k; singular at k = 0."""
+    return _per_mode(params, k, lambda d0k2: params.c0 ** 2 / (d0k2 * params.T0),
+                     "coupling constant")
+
+
+def noise_kernel_amplitude(params: MediumParams, k):
+    """Delta-correlated noise kernel amplitude N_k = 2 Gamma_k A_k^2 = 2 c0^2 / (D0 k^2).
+
+    Singular at k = 0.
+    """
+    return _per_mode(params, k, lambda d0k2: 2.0 * params.c0 ** 2 / d0k2, "noise kernel")
 
 
 def equilibrium_mode_variance(params: MediumParams) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -310,14 +311,20 @@ def test_decoherence_scan_matches_explicit_pairs(medium, ks, amplitude, duration
 
 
 def test_decoherence_scan_arithmetic_on_the_sweep_grid():
-    # N_k squares k with C pow (Python's k ** 2), and each magnitude is math.exp: numpy's
-    # k * k and np.exp round differently at some of these points
+    # N_k squares k as D0 * k * k, and each magnitude is math.exp: C pow (np.float_power)
+    # and np.exp round differently at some of these points
     ks = 0.0 + np.arange(100000) * 1e-4
     amplitude, duration, n_steps = 0.001, 10.0, 1000
     rows = decoherence_scan(UNIT, ks, amplitude, duration, n_steps)
     dt = duration / n_steps
     sum_sq = float(np.dot(np.full(n_steps, amplitude), np.full(n_steps, amplitude)))
-    expected = [math.inf] + [1.0 * dt * (2.0 * UNIT.c0 ** 2 / (UNIT.D0 * k ** 2)) * sum_sq
-                             for k in ks[1:].tolist()]
+
+    def exponent(d0k2):
+        return 1.0 * dt * (2.0 * UNIT.c0 ** 2 / d0k2) * sum_sq
+
+    expected = [math.inf] + [exponent(UNIT.D0 * k * k) for k in ks[1:].tolist()]
     assert np.array_equal(rows["exponent"], expected)
     assert np.array_equal(rows["magnitude"], [math.exp(-e) for e in expected])
+    # where C pow's square differs from k * k, the scan's is the correctly rounded k^2
+    for i in np.flatnonzero(np.float_power(ks, 2) != ks * ks).tolist():
+        assert rows["exponent"][i] == exponent(UNIT.D0 * float(Fraction(ks[i]) ** 2))

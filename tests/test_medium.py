@@ -1,8 +1,14 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermodeco import (
     DimensionMismatchError,
+    HistoryPair,
     LatticeField,
     MediumParams,
     SingularModeError,
@@ -10,6 +16,8 @@ from thermodeco import (
     equilibrium_mode_variance,
     free_energy_change,
     free_energy_hessian,
+    influence_action,
+    noise_kernel_amplitude,
     noise_strength,
     relaxation_rate,
 )
@@ -25,6 +33,8 @@ def test_params_validation():
         MediumParams(T0=1.0, c0=-1.0, D0=1.0)
     with pytest.raises(ValueError):
         MediumParams(T0=1.0, c0=1.0, D0=1.0, d=4)
+    with pytest.raises(ValueError):  # D0 * 0 * 0 would be nan, not the conserved mode's 0
+        MediumParams(T0=1.0, c0=1.0, D0=math.inf)
 
 
 def test_relaxation_rate_values():
@@ -77,6 +87,72 @@ def test_k_squared_scaling():
         k = rng.uniform(0.01, 10.0)
         assert relaxation_rate(P243, 2 * k) == pytest.approx(4 * relaxation_rate(P243, k), rel=1e-14)
         assert noise_strength(P243, 2 * k) == pytest.approx(4 * noise_strength(P243, k), rel=1e-14)
+
+
+REGULAR = (relaxation_rate, noise_strength)  # defined on the conserved mode k = 0
+SINGULAR = (coupling_constant, noise_kernel_amplitude)  # diverge there
+
+
+@settings(max_examples=200, deadline=None)
+@given(medium=st.tuples(*[st.floats(1e-3, 1e3)] * 3),
+       ks=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8),
+       k=st.floats(1e-100, 1e100))
+def test_coefficients_are_one_d0k2_elementwise(medium, ks, k):
+    p = MediumParams(*medium)
+    positive = [x for x in ks if x > 0] or [1.0]
+    for coefficient, grid in [(f, ks) for f in REGULAR] + [(f, positive) for f in SINGULAR]:
+        scalars = [coefficient(p, x) for x in grid]
+        assert all(type(x) is float for x in scalars)
+        assert coefficient(p, np.array(grid)).tobytes() == np.array(scalars).tobytes()
+    # the operation order of every byte simulate, fdr-verify and field-sample write
+    T0, c0, D0 = medium
+    assert relaxation_rate(p, k) == D0 * k * k / c0
+    assert noise_strength(p, k) == D0 * k * k * T0 ** 2 / c0 ** 2
+    assert coupling_constant(p, k) == c0 ** 2 / (D0 * k * k * T0)
+    assert noise_kernel_amplitude(p, k) == 2.0 * c0 ** 2 / (D0 * k * k)
+
+
+def influence_on_ramp(params, k):
+    """influence_action at k (or each of a list) on a pair with positive difference and drift."""
+    ks = np.atleast_1d(k)
+    ramps = np.tile(1.0 + np.arange(5.0), (ks.size, 1))
+    value = influence_action(params, HistoryPair(ks, 0.1, ramps, 0.0 * ramps, np.ones(ks.size)))
+    return value.real, value.imag
+
+
+def _case(f, k, outcome):
+    return pytest.param(f, k, outcome, id=f"{f.__name__}({k})")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, k, outcome", [
+    *[_case(f, k, ValueError) for f in REGULAR + SINGULAR + (influence_on_ramp,)
+      for k in (-1.0, [1.0, -1.0])],
+    *[_case(f, k, SingularModeError) for f in SINGULAR + (influence_on_ramp,)
+      for k in (0.0, [1.0, 0.0])],
+    *[_case(f, 1e-200, 0.0) for f in REGULAR],
+    *[_case(f, 1e-200, math.inf) for f in SINGULAR],
+    *[_case(f, 1e200, math.inf) for f in REGULAR],
+    *[_case(f, 1e200, 0.0) for f in SINGULAR],
+    _case(influence_on_ramp, 1e-200, (math.inf, math.inf)),
+])
+def test_coefficient_error_contract(f, k, outcome):
+    if outcome in (ValueError, SingularModeError):
+        with pytest.raises(outcome) as raised:
+            f(UNIT, k)
+        assert type(raised.value) is outcome
+        if outcome is ValueError:
+            assert str(raised.value) == "wavenumber must be non-negative"
+    else:
+        assert f(UNIT, k) == outcome
+
+
+def test_no_float_power_in_sources():
+    # C pow squares k as the platform's libm rounds it; D0 * k * k is the same everywhere
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "thermodeco").glob("*.py"))
+    assert sources
+    for path in sources:
+        assert "float_power" not in path.read_text(), path.name
 
 
 def test_lattice_field_validation():
