@@ -20,9 +20,7 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -60,11 +58,9 @@ from .medium import (
     relaxation_rate,
 )
 from .stats import (
-    FIT_THRESHOLD,
-    MIN_FIT_LAGS,
     StreamStats,
     autocorrelation,  # unused here; perfbench/traced.py wraps it by this name
-    fit_exponential_rate,
+    fit_exponential_rate,  # unused here; perfbench/traced.py wraps it by this name
     sample_variance,
     variance_stderr_correlated,
 )
@@ -109,7 +105,6 @@ class RunConfig:
     initial: float | str = SAMPLE_EQUILIBRIUM
     noise_scale: float = 1.0  # test-only knob; != 1 breaks the noise balance
     rate_tol: float = 0.05
-    max_lag: int = 400
     # decoherence scan
     amplitude: float = 0.1
     duration: float = 10.0
@@ -180,7 +175,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"{name} must be finite, got {v}")
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError(f"seed must be in [0, 2^64 - 1], got {cfg.seed}")
-    for name in ("burn_in", "rate_tol", "max_lag"):
+    for name in ("burn_in", "rate_tol"):
         if (value := getattr(cfg, name)) is not None and value < 0:
             raise ConfigError(f"{name} must be non-negative, got {value}")
     return cfg
@@ -206,9 +201,9 @@ def _check_array_size(what: str, n_values: int):
 def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool = False):
     """Time-grid, overflow and stability constraints of a simulated run.
 
-    ``fdr`` also requires one trajectory per mode and what the fdr-verify rate
-    fit needs of every damped mode: MIN_FIT_LAGS ACF lags after burn-in within
-    max_lag, the expected ACF above FIT_THRESHOLD at the last of them.
+    ``fdr`` also requires one trajectory per mode and, of every damped mode, a lag-1
+    rate fdr-verify can measure: the expected lag-1 correlation e^(-gamma dt) below 1 and
+    LAG1_CLEARANCE sd of its estimate above 0 over the samples after burn-in.
     """
     if fdr and cfg.n_traj > 1:
         raise ConfigError(f"fdr-verify runs one trajectory per mode; n_traj must be 1, "
@@ -230,24 +225,17 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool 
                               f"{gamma * cfg.dt:g} >= 2; lower dt or use {METHOD_EXACT}")
         n_burn = _finite(f"burn-in steps (burn_in or 10/gamma)/dt at k={k:g}",
                          lambda: _burn_in_steps(cfg, gamma))
-        if fdr and k > 0:
-            if min(n_samples - n_burn, cfg.max_lag + 1) < MIN_FIT_LAGS:
-                raise ConfigError(f"too few lags for the rate fit at k={k:g}: {n_samples} samples, "
-                                  f"{n_burn} of them burn-in, max_lag = {cfg.max_lag}; "
-                                  f"need {MIN_FIT_LAGS}")
-            if not gamma * cfg.dt > 0:
-                raise ConfigError(f"gamma*dt at k={k:g} underflows to 0: no decay for the rate fit")
-            acf = math.exp(-(MIN_FIT_LAGS - 1) * gamma * cfg.dt)
-            if acf <= FIT_THRESHOLD:
-                raise ConfigError(f"dt too coarse for the rate fit at k={k:g}: expected ACF "
-                                  f"{acf:.3g} at lag {MIN_FIT_LAGS - 1} <= {FIT_THRESHOLD}")
-            _finite(f"rate gate floor 3*sqrt(2/(gamma*T)) after burn-in at k={k:g}",
-                    lambda: _rate_floor(gamma, n_samples - n_burn, cfg.dt))
+        n_post = n_samples - n_burn
+        expected, sd = _lag1(gamma, max(n_post, 1), cfg.dt)
+        if fdr and k > 0 and not (n_post >= 2 and LAG1_CLEARANCE * sd < expected < 1.0):
+            raise ConfigError(f"lag-1 rate not measurable at k={k:g}: e^(-gamma*dt) = "
+                              f"{expected:.3g} over {max(n_post, 0)} samples after burn-in is not "
+                              f"between {LAG1_CLEARANCE:g} sd of its estimate and 1")
 
 
 def _check_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
-    """A ConfigError unless the scan's settings are positive, its wavenumbers distinct and
-    the exponent decoherence_scan computes a positive normal float over the scan.
+    """A ConfigError unless the scan's settings are positive and the exponent decoherence_scan
+    computes a positive normal float over the scan (run_deco_scan finds repeated k).
 
     The smallest and largest positive k have the largest and smallest exponents: at
     k_low N_k and the exponent must not overflow, at k_high the exponent must not
@@ -256,9 +244,6 @@ def _check_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
     if not (cfg.amplitude > 0 and cfg.duration > 0 and cfg.scan_steps >= 1):
         raise ConfigError("amplitude and duration must be positive, scan_steps >= 1")
     _check_array_size("scan_steps + 1 branch-difference samples", cfg.scan_steps + 1)
-    if len(set(ks)) < len(ks):
-        dup = next(k for k, count in Counter(ks).items() if count > 1)
-        raise ConfigError(f"duplicate wavenumber {dup:g} in the scan")
     positive = [k for k in ks if k > 0]
     if not positive:
         return
@@ -496,11 +481,34 @@ def _burn_in_steps(cfg: RunConfig, gamma: float) -> int:
     return max(int(math.ceil(burn_t / cfg.dt)), 0)
 
 
+# How many sd of its estimate the expected lag-1 correlation alpha of an fdr-verify mode must
+# stand above 0.  The rate gate's first-order 3 sd, mapped back through the log, admit rho_1
+# within [-2.6, +3.5] sd of alpha at 10 sd, 0.5% false alarms per mode, but [-2.3, +4.1] sd,
+# 1.2%, at 5 sd.  At 10 sd a rho_1 <= 0, which has no rate, has probability ~1e-23.
+LAG1_CLEARANCE = 10.0
+
+
+def _lag1(gamma: float, n_post: int, dt: float) -> tuple[float, float]:
+    """alpha = e^(-gamma dt), the lag-1 correlation of an exact-OU mode, and the sd
+    sqrt((1 - alpha^2)/n_post) of its estimate (Bartlett's formula for an AR(1) series)."""
+    alpha = math.exp(-gamma * dt)
+    return alpha, math.sqrt((1.0 - alpha * alpha) / n_post)
+
+
 def _rate_floor(gamma: float, n_post: int, dt: float) -> float:
-    """The rate gate's statistical floor on |fitted - gamma| / gamma: 3 sd, where
-    sd(rate)/rate ~ sqrt(2 tau / T) for n_post samples, T = n_post dt time units and
-    correlation time tau = 1/gamma."""
-    return 3.0 * math.sqrt(2.0 / (gamma * n_post * dt))
+    """The rate gate's floor on |fitted - gamma| / gamma: 3 sd of -ln(rho_1)/dt by the delta
+    method, 3 sd(rho_1)/(alpha gamma dt); to first order in gamma dt 3 sqrt(2/(gamma dt n_post))."""
+    alpha, sd = _lag1(gamma, n_post, dt)
+    return 3.0 * sd / (alpha * gamma * dt)
+
+
+def _stderr_variance(variance: float, n: int, params: MediumParams, cfg: RunConfig, k: float):
+    """variance_stderr_correlated at r = alpha^2, alpha the configured stepper's.  The exact
+    law's alpha^2 is e^(-2 gamma dt) in one rounding: alpha * alpha differs at half of all dt."""
+    alpha, _ = _step_coefficients(params, k, cfg.method, cfg.dt, cfg.noise_scale)
+    exact = math.exp(-2.0 * relaxation_rate(params, k) * cfg.dt)
+    r = exact if cfg.method == METHOD_EXACT else alpha * alpha
+    return variance_stderr_correlated(variance, n, r)
 
 
 def _within_3sigma(estimate: float, expected: float, stderr: float) -> bool:
@@ -514,35 +522,23 @@ def _chunks(row: np.ndarray):
     return (row[start : start + langevin.CHUNK] for start in range(0, row.size, langevin.CHUNK))
 
 
-def _prefetched(items):
-    """The items of an iterator in order, each next one computed on a worker thread while
-    the caller works on this one.  An error of the iterator is raised in place of its item;
-    closed early, it waits for the item in flight and leaves no thread running."""
-    with ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(next, items, None)
-        while (item := ahead.result()) is not None:
-            ahead = pool.submit(next, items, None)
-            yield item
-
-
 def _estimate_mode(params: MediumParams, cfg: RunConfig, k: float, trajs):
     """Estimates from a mode's trajectories, each an iterable of its chunks in order, cut
     where langevin.simulate_chunks cuts (so that every caller sums in the same order):
     gamma_k, the burn-in steps, the moments of all post-burn-in samples pooled in trajectory
-    order (None below 2 samples), and the rate fitted on trajectory 0 after burn-in, or the
+    order (None below 2 samples), and the lag-1 rate of trajectory 0 after burn-in, or the
     InsufficientDataError."""
     gamma = relaxation_rate(params, k)
     n_burn = _burn_in_steps(cfg, gamma)
-    n_post = sim_config(cfg).n_steps + 1 - n_burn
-    stats = StreamStats(max(min(cfg.max_lag, n_post - 1), 0))
+    stats = StreamStats()
     for i, chunks in enumerate(trajs):
         start = 0
         for chunk in chunks:
             stats.add(chunk[max(n_burn - start, 0):], lags=i == 0)
             start += chunk.size
     st = stats.moments() if stats.n >= 2 else None
-    try:  # below MIN_FIT_LAGS samples either the ACF or the fit raises
-        rate = fit_exponential_rate(stats.acf(cfg.dt))
+    try:
+        rate = stats.lag1_rate(cfg.dt)
     except InsufficientDataError as exc:
         rate = exc
     return gamma, n_burn, st, rate
@@ -567,7 +563,7 @@ def run_simulate(cfg: RunConfig, params: MediumParams, ks: list[float]):
         }
         if st is not None:
             entry["sample_variance"] = st.variance
-            entry["stderr_variance"] = variance_stderr_correlated(st.variance, st.n, gamma, cfg.dt)
+            entry["stderr_variance"] = _stderr_variance(st.variance, st.n, params, cfg, k)
             entry["sample_mean"] = st.mean
         summary_modes.append(entry)
     yield "summary", {"modes": summary_modes}
@@ -581,13 +577,11 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
         if k == 0.0:
             report.append({"k": 0.0, "skipped": "conserved mode (zero rate, zero noise)"})
             continue
-        # one trajectory on substream m * n_traj (n_traj is 1), as simulate draws it; streamed:
-        # the next chunk is simulated while this one is reduced, and no history is kept
-        stream = langevin.simulate_chunks(params, k, sim, m * cfg.n_traj)
-        with closing(_prefetched(stream)) as chunks:
-            gamma, _, st, rate = _estimate_mode(params, cfg, k, [chunks])
+        # one trajectory, streamed, on substream m * n_traj (n_traj is 1) as simulate draws it
+        chunks = langevin.simulate_chunks(params, k, sim, m * cfg.n_traj)
+        gamma, _, st, rate = _estimate_mode(params, cfg, k, [chunks])
         expected = equilibrium_mode_variance(params)
-        stderr = variance_stderr_correlated(expected, st.n, gamma, cfg.dt)
+        stderr = _stderr_variance(expected, st.n, params, cfg, k)
         var_pass = _within_3sigma(st.variance, expected, stderr)
         entry = {
             "k": k,
@@ -614,8 +608,11 @@ def run_deco_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
     exponents = rows["exponent"]
     if not np.all(exponents[:-1] >= exponents[1:]):
         raise ConsistencyViolation("exponent not strictly decreasing in k")
+    # a repeated k repeats its exponent: the first tie is a repeat or a pair too close to tell
     if (ties := np.flatnonzero(exponents[:-1] == exponents[1:])).size:
         k_a, k_b = rows["k"][ties[0]:ties[0] + 2].tolist()
+        if k_a == k_b:
+            raise ConfigError(f"duplicate wavenumber {k_a:g} in the scan")
         raise ConfigError(f"wavenumbers {k_a!r} and {k_b!r} are too close: their exponents are "
                           f"equal in double precision")
     yield "deco_scan", rows

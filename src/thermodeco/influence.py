@@ -129,10 +129,13 @@ def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
     """
     coupling = coupling_constant(params, pair.ks)[:, None]  # SingularModeError at k = 0
     rate = relaxation_rate(params, pair.ks)[:, None]
-    dissipation = coupling * _drift_operator(pair.branch1 + pair.branch2, pair.dt, rate)
     diff = pair.branch1 - pair.branch2
-    re = pair.weights * 0.5 * pair.dt * _left_dot(diff, dissipation)
-    return InfluenceValue(real=sum(re.tolist()),
+    # a mode whose branches agree over the sum contributes 0, also where A_k is inf
+    live = np.any(diff[:, :-1] != 0.0, axis=-1)
+    dissipation = coupling[live] * _drift_operator((pair.branch1 + pair.branch2)[live], pair.dt,
+                                                   rate[live])
+    re = pair.weights[live] * 0.5 * pair.dt * _left_dot(diff[live], dissipation)
+    return InfluenceValue(real=sum(re.tolist(), 0.0),
                           imag=0.5 * decoherence_exponent(params, pair).total_exponent)
 
 
@@ -170,15 +173,17 @@ def static_free_energy_identity(params: MediumParams, ks, weights, amps1, amps2)
 def decoherence_exponent(params: MediumParams, pair: HistoryPair) -> DecoherenceResult:
     """Per-mode exponents w_k sum_n dt N_k [dT_k]_n^2, N_k the noise kernel amplitude.
 
-    A k = 0 mode with any nonzero branch difference contributes +inf and
-    sets the conserved-mode flag (magnitude 0: exactly decohered).
+    A k = 0 mode with any nonzero branch difference contributes +inf and sets the
+    conserved-mode flag (magnitude 0); one whose difference sums to 0 contributes 0.
     """
     diff = pair.branch1 - pair.branch2
+    sum_sq = _left_dot(diff, diff)
     damped = pair.ks != 0.0
     diverged = ~damped & np.any(diff != 0.0, axis=-1)
     per_mode = np.where(diverged, math.inf, 0.0)
-    per_mode[damped] = _noise_functional(params, pair.ks[damped], pair.weights[damped], pair.dt,
-                                         _left_dot(diff, diff)[damped])
+    live = damped & (sum_sq != 0.0)
+    per_mode[live] = _noise_functional(params, pair.ks[live], pair.weights[live], pair.dt,
+                                       sum_sq[live])
     total = sum(per_mode.tolist())
     return DecoherenceResult(per_mode=per_mode, total_exponent=total,
                              magnitude=math.exp(-total),
@@ -214,6 +219,8 @@ def decoherence_scan(
     rows["k"] = np.sort(np.asarray(k_values, dtype=float))
     rows["conserved_flag"] = conserved = rows["k"] == 0.0
     rows["exponent"] = math.inf
-    rows["exponent"][~conserved] = _noise_functional(params, rows["k"][~conserved], 1.0, dt, sum_sq)
+    if not conserved.all():  # N_k, and c0^2 in it, only where a damped mode needs it
+        rows["exponent"][~conserved] = _noise_functional(params, rows["k"][~conserved], 1.0, dt,
+                                                         sum_sq)
     rows["magnitude"] = [math.exp(-e) for e in rows["exponent"].tolist()]
     return rows

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermodeco import DECO_DTYPE, ModeHistory, autocorrelation, fit_exponential_rate
+from thermodeco import DECO_DTYPE, ModeHistory
 from thermodeco import cli, langevin
 from thermodeco.cli import (
     RunConfig,
@@ -46,6 +46,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def lag1_rate(post: np.ndarray, dt: float) -> float:
+    """The lag-1 rate -ln(sum x_n x_{n+1} / sum x_n^2)/dt of one post-burn-in history."""
+    return -math.log(np.dot(post[:-1], post[1:]) / np.dot(post, post)) / dt
 
 
 def read_csv_rows(path):
@@ -87,8 +92,10 @@ def test_bad_flag_exits_2():
     ["field-sample", "--n-fields", "1"],
     ["field-sample", "--lattice-a", "0"],
     ["field-sample", "--lattice-n", "0"],
-    ["fdr-verify", "--k", "16", "--dt", "0.01", "--t-end", "200"],
-    ["fdr-verify", "--k", "1", "--max-lag", "1"],
+    # the lag-1 rate check: e^(-gamma*dt) = 7.6e-12 is no correlation to measure; and
+    # 0.077 is 3.5 sd of its estimate over 1996 samples, not 10
+    ["fdr-verify", "--k", "16", "--dt", "0.1", "--t-end", "200"],
+    ["fdr-verify", "--k", "16", "--dt", "0.01", "--t-end", "20"],
     ["simulate", "--k", "1", "--t-end", "1e300", "--dt", "1e-300"],
     ["simulate", "--k", "1", "--T0", "1e200"],
     ["simulate", "--k", "0", "--T0", "1e200"],
@@ -113,7 +120,8 @@ def test_bad_flag_exits_2():
     ["simulate", "--k", "1", "--t-end", "5", "--seed", "18446744073709551616"],
     ["simulate", "--k", "1", "--t-end", "5", "--burn-in", "-1"],
     ["fdr-verify", "--k", "1", "--t-end", "400", "--rate-tol", "-0.1"],
-    ["simulate", "--k", "1", "--t-end", "5", "--max-lag", "-5"],
+    # 1 sample after burn-in, no pair: alpha = 0.99875 alone would stand 10 sd clear of 0
+    ["fdr-verify", "--k", "0.05", "--t-end", "1", "--dt", "0.5", "--burn-in", "1"],
     ["deco-scan", "--k", "1", "--scan-steps", "18446744073709551616"],
     ["fdr-verify", "--k", "1e-160", "--burn-in", "0", "--t-end", "5"],
     ["simulate", "--k-min", "1", "--dk", "1e308", "--k-count", "3"],
@@ -178,7 +186,7 @@ SETTINGS = {
     "k_list": "1.5,2.5", "k_min": "0.5", "dk": "0.25", "k_count": "3",
     "dt": "0.02", "t_end": "50", "method": "euler-maruyama", "burn_in": "2.5",
     "n_traj": "3", "initial": "0.3", "noise_scale": "0.5", "rate_tol": "0.1",
-    "max_lag": "20", "amplitude": "0.2", "duration": "5", "scan_steps": "7",
+    "amplitude": "0.2", "duration": "5", "scan_steps": "7",
     "lattice_n": "8", "lattice_a": "0.5", "n_fields": "50",
     "seed": "9", "out": "elsewhere", "format": "json", "workers": "2",
 }
@@ -247,8 +255,7 @@ def test_simulate_rate_fitted_after_burn_in(tmp_path):
     mode = read_json(out / "summary.json")["modes"][0]
     _, rows = read_csv_rows(out / "mode0_traj0.csv")
     post = np.array([float(r[1]) for r in rows])[mode["burn_in_steps"]:]
-    acf = autocorrelation(ModeHistory(1.0, 0.01, post), 400)
-    assert mode["fitted_rate"] == pytest.approx(fit_exponential_rate(acf), rel=1e-12)
+    assert mode["fitted_rate"] == pytest.approx(lag1_rate(post, 0.01), rel=1e-12)
     # the default burn-in 10/gamma = 1000 outlasts a run of 50 at k = 0.1
     assert main(["simulate", "--k", "0.1", "--t-end", "50", "--out", str(tmp_path / "short")]) == 0
     assert read_json(tmp_path / "short" / "summary.json")["modes"][0]["fitted_rate"] is None
@@ -307,10 +314,9 @@ def test_fdr_verify_streams_a_long_run_in_bounded_memory(tmp_path):
 
 def test_fdr_verify_holds_a_few_chunks_per_mode(tmp_path, monkeypatch):
     monkeypatch.setattr(langevin, "CHUNK", 16384)
-    # 800001 samples per mode, 49 chunks; max_lag 50 keeps the lag sums' blocks small.  A
-    # whole history and its noise buffer would be 98 chunks
-    argv = ["fdr-verify", "--k", "1,2,3", "--t-end", "8000", "--max-lag", "50",
-            "--out", str(tmp_path / "o")]
+    # 800001 samples per mode, 49 chunks.  A whole history and its noise buffer would be 98
+    # chunks
+    argv = ["fdr-verify", "--k", "1,2,3", "--t-end", "8000", "--out", str(tmp_path / "o")]
     main(argv)  # imports and first-use set-up, not counted below
     tracemalloc.start()
     try:
@@ -358,6 +364,52 @@ def test_fdr_verify_stream_failure_ends_the_run(tmp_path, capsys, monkeypatch, f
     assert not (tmp_path / "o").exists()
 
 
+def test_fdr_verify_reports_a_non_positive_lag1_correlation(tmp_path, capsys, monkeypatch):
+    simulate_chunks = langevin.simulate_chunks
+
+    def alternating(*args, **kwargs):
+        # every other sample negated: the lag-1 correlation comes out near -e^(-gamma dt)
+        for chunk in simulate_chunks(*args, **kwargs):
+            chunk[1::2] *= -1.0
+            yield chunk
+
+    monkeypatch.setattr(langevin, "simulate_chunks", alternating)
+    out = tmp_path / "o"
+    assert main(["fdr-verify", "--k", "1", "--t-end", "400", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    test = read_json(out / "fdr_report.json")["tests"][0]
+    assert test["fitted_rate"] is None and test["rate_pass"] is False
+    assert test["rate_error"].startswith("lag-1 correlation -0.98")
+    assert "rate_tol" not in test
+
+
+@pytest.mark.parametrize("method", ["exact-ou", "euler-maruyama"])
+def test_variance_error_bar_follows_the_stepper(tmp_path, method):
+    # the squared fluctuations correlate by e^(-2 gamma dt) under the exact law and by
+    # (1 - gamma dt)^2 under Euler-Maruyama.  At both k, e^(-gamma dt)^2 rounds differently
+    # from e^(-2 gamma dt), so the exact law's bytes are pinned too
+    common = ["--k", "0.5,3", "--dt", "0.05", "--t-end", "400", "--method", method]
+    assert main(["simulate", *common, "--out", str(tmp_path / "s")]) in (0, 1)
+    assert main(["fdr-verify", *common, "--out", str(tmp_path / "f")]) in (0, 1)
+    modes = read_json(tmp_path / "s" / "summary.json")["modes"]
+    tests = read_json(tmp_path / "f" / "fdr_report.json")["tests"]
+    for mode, test in zip(modes, tests):
+        gamma_dt = mode["expected_rate"] * 0.05
+        euler = (1.0 - gamma_dt) * (1.0 - gamma_dt)
+        r = math.exp(-2.0 * gamma_dt) if method == "exact-ou" else euler
+        n = 8001 - mode["burn_in_steps"]
+        n_eff = n * (1.0 - r) / (1.0 + r)
+        assert mode["stderr_variance"] == mode["sample_variance"] * math.sqrt(2.0 / n_eff)
+        assert test["stderr_variance"] == math.sqrt(2.0 / n_eff)
+
+
+def test_old_config_with_max_lag_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("k_list=1\nmax_lag=400\n")
+    assert main(["fdr-verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key 'max_lag'\n"
+
+
 def test_summaries_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the lag sums and moments are BLAS products and dots, which OpenBLAS splits by thread
     for argv in (["simulate", "--k", "1,2", "--t-end", "2000", "--n-traj", "2"],
@@ -399,9 +451,9 @@ def test_simulate_and_fdr_verify_run_on_one_blas_thread(tmp_path, monkeypatch, a
         return blas_runs()
 
     monkeypatch.setattr(cli, "_one_blas_thread", recorded)
-    fit = cli.fit_exponential_rate
-    monkeypatch.setattr(cli, "fit_exponential_rate",
-                        lambda acf: during.append(blas_threads()) or fit(acf))
+    rate = cli.StreamStats.lag1_rate
+    monkeypatch.setattr(cli.StreamStats, "lag1_rate",
+                        lambda stats, dt: during.append(blas_threads()) or rate(stats, dt))
     assert main(argv + ["--out", str(tmp_path / "o")]) in (0, 1)
     assert during == ([None, 1] if pinned else [])
     assert blas_threads() == before
@@ -433,9 +485,9 @@ def test_simulate_and_fdr_verify_share_one_estimator(tmp_path):
 
 @pytest.mark.parametrize("chunk", [1, 1000, 10 ** 6])
 def test_simulate_and_fdr_verify_agree_at_any_chunk_size(tmp_path, monkeypatch, chunk):
-    # 3001 samples, 100 of them burn-in: one sample per chunk, chunks that are no multiple of
-    # the 400-sample lag block, and one chunk larger than the history.  Mode m draws
-    # substream m in both commands
+    # 3001 samples, 100 of them burn-in: one sample per chunk, chunks whose pairs straddle
+    # their boundaries, and one chunk larger than the history.  Mode m draws substream m in
+    # both commands
     monkeypatch.setattr(langevin, "CHUNK", chunk)
     common = ["--k", "2,1", "--t-end", "30", "--burn-in", "1"]
     assert main(["simulate", *common, "--out", str(tmp_path / "s")]) == 0
@@ -448,8 +500,7 @@ def test_simulate_and_fdr_verify_agree_at_any_chunk_size(tmp_path, monkeypatch, 
         _, rows = read_csv_rows(tmp_path / "s" / f"mode{m}_traj0.csv")
         post = np.array([float(r[1]) for r in rows])[mode["burn_in_steps"]:]
         assert mode["sample_variance"] == pytest.approx(np.var(post, ddof=1), rel=1e-12)
-        acf = autocorrelation(ModeHistory(mode["k"], 0.01, post), 400)
-        assert mode["fitted_rate"] == pytest.approx(fit_exponential_rate(acf), rel=1e-12)
+        assert mode["fitted_rate"] == pytest.approx(lag1_rate(post, 0.01), rel=1e-12)
 
 
 def test_fdr_verify_detects_corrupted_noise(tmp_path):
@@ -491,6 +542,14 @@ def test_deco_scan_conserved_row(tmp_path):
     assert rows[0][1] == "inf"
     assert float(rows[0][2]) == 0.0
     assert rows[0][3] == "true"
+
+
+@pytest.mark.parametrize("modes, n_rows", [(["--k-count", "0"], 0), (["--k", "0"], 1)])
+def test_deco_scan_without_damped_modes_ignores_an_overflowing_c0(tmp_path, modes, n_rows):
+    out = tmp_path / "o"
+    assert main(["deco-scan", *modes, "--c0", "1e300", "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out / "deco_scan.csv")
+    assert rows == [["0", "inf", "0", "true"]] * n_rows
 
 
 def test_deco_scan_duplicate_k_exits_2(tmp_path, capsys):
@@ -765,7 +824,7 @@ def command_lines(draw):
         "burn_in": st.one_of(st.just("auto"), st.floats(0.0, 5.0)), "n_traj": st.integers(1, 3),
         "initial": st.one_of(st.just("sample-equilibrium"), st.floats(-5.0, 5.0)),
         "noise_scale": st.floats(0.0, 3.0), "rate_tol": st.floats(0.0, 1.0),
-        "max_lag": st.integers(0, 500), "amplitude": st.floats(0.01, 1.0),
+        "amplitude": st.floats(0.01, 1.0),
         "duration": st.floats(0.1, 20.0), "scan_steps": st.integers(1, 100),
         "lattice_n": st.integers(1, 8), "lattice_a": st.floats(0.1, 2.0),
         "n_fields": st.integers(2, 50), "seed": st.integers(-1, 2 ** 64),

@@ -257,6 +257,32 @@ def test_pair_modes_match_one_mode_pairs():
     assert res.total_exponent == math.inf and res.conserved_mode_diverged
 
 
+@pytest.mark.filterwarnings("error")
+def test_equal_branches_contribute_zero_where_the_kernels_are_inf():
+    # D0 k^2 underflows to 0 at k = 1e-200, so N_k and A_k are inf: an equal-branch mode
+    # still contributes exactly 0, as an equal-branch k = 0 mode does
+    ones = np.ones((2, 6))
+    pair = HistoryPair([1e-200, 1.0], 0.1, ones, ones, [1, 1])
+    res = decoherence_exponent(UNIT, pair)
+    assert res.per_mode.tolist() == [0.0, 0.0]
+    assert res.total_exponent == 0.0 and res.magnitude == 1.0
+    action = influence_action(UNIT, pair)
+    assert (action.real, action.imag) == (0.0, 0.0) and type(action.real) is float
+    # a difference on the tiny mode decoheres it completely
+    other = ones.copy()
+    other[0, 2] = 1.5
+    res = decoherence_exponent(UNIT, HistoryPair([1e-200, 1.0], 0.1, ones, other, [1, 1]))
+    assert res.per_mode.tolist() == [math.inf, 0.0] and res.magnitude == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ks", [[], [0.0]])
+def test_decoherence_scan_without_damped_modes_needs_no_kernel(ks):
+    # c0^2 overflows, but no row needs N_k
+    rows = decoherence_scan(MediumParams(T0=1.0, c0=1e300, D0=1.0), ks, 0.1, 10.0)
+    assert rows.tolist() == [(0.0, math.inf, 0.0, True)] * len(ks)
+
+
 def test_decoherence_one_sample_spans_no_time():
     res = decoherence_exponent(P243, _pair(1.5, 0.1, [0.3], [0.0]))
     assert res.total_exponent == 0.0

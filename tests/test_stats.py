@@ -49,12 +49,12 @@ def test_sample_variance_scale_equivariant():
 
 
 def test_variance_stderr_correlated():
-    # r = e^(-2 gamma dt) = 1/3 gives n_eff = n / 2
-    n, gamma, dt = 1000, 0.5 * math.log(3.0), 1.0
-    assert variance_stderr_correlated(2.0, n, gamma, dt) == pytest.approx(
+    # r = 1/3 gives n_eff = n / 2
+    n = 1000
+    assert variance_stderr_correlated(2.0, n, 1.0 / 3.0) == pytest.approx(
         2.0 * math.sqrt(2.0 / (n / 2)), rel=1e-14)
     # a conserved mode (or fully correlated samples) floors n_eff at 2
-    assert variance_stderr_correlated(2.0, n, 0.0, dt) == 2.0
+    assert variance_stderr_correlated(2.0, n, 1.0) == 2.0
 
 
 def _acf_per_lag(x, max_lag):
@@ -104,55 +104,74 @@ def test_acf_block_boundaries(n, max_lag):
 
 @st.composite
 def _stream_case(draw):
-    """(n, burn-in, max_lag, chunk): max_lag 0, 1, past the chunk or clamped to the
-    post-burn-in length; chunks of one sample, of no multiple of the lag block, or longer
-    than the history."""
+    """(n, burn-in, chunk): chunks of one sample, of a few samples, or longer than the
+    history; a burn-in that ends anywhere or leaves one pair."""
     n = draw(st.integers(2, 3000))
-    burn = draw(st.integers(0, n - 2))
-    last = n - burn - 1
-    chunk_kind = draw(st.sampled_from(["one", "off-block", "beyond", "any"]))
-    lag_kind = draw(st.sampled_from(["zero", "one", "past-chunk", "clamp", "any"]))
-    chunk = {"one": 1, "beyond": n + draw(st.integers(1, 100))}.get(
-        chunk_kind, draw(st.integers(1, 700)))
-    lag = {"zero": 0, "one": 1, "clamp": last}.get(
-        lag_kind, draw(st.integers(min(chunk + 1, last) if lag_kind == "past-chunk" else 0, last)))
-    if chunk_kind == "off-block":
-        block = min(max(lag, 16), 512)
-        chunk = block * draw(st.integers(0, 3)) + draw(st.integers(1, block - 1))
-    return n, burn, lag, chunk
+    burn = draw(st.integers(0, n - 2)) if draw(st.booleans()) else n - 2
+    chunk_kind = draw(st.sampled_from(["one", "few", "beyond", "any"]))
+    chunk = {"one": 1, "few": draw(st.integers(2, 17)),
+             "beyond": n + draw(st.integers(1, 100))}.get(chunk_kind, draw(st.integers(1, 700)))
+    return n, burn, chunk
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_stream_case(), seed=st.integers(0, 2**32 - 1), mean=st.sampled_from([0.0, 3.0]))
 def test_stream_stats_match_one_array(case, seed, mean):
-    n, burn, max_lag, chunk = case
+    n, burn, chunk = case
     x = np.random.default_rng(seed).normal(mean, 1.0, size=n)
-    stats = StreamStats(max_lag)
+    stats = StreamStats()
     for start in range(0, n, chunk):  # chunks cut at absolute boundaries, burn-in dropped
         stats.add(x[start : start + chunk][max(burn - start, 0):])
     post = x[burn:]
     scale = float(np.dot(post, post))
-    assert stats.n == stats.n_lag == post.size
+    assert stats.n == post.size
     assert stats.moments().variance == pytest.approx(np.var(post, ddof=1), rel=1e-12)
     assert stats.sum_sq == pytest.approx(scale, rel=1e-12)
-    ref = np.array([np.dot(post[:-lag], post[lag:]) for lag in range(1, max_lag + 1)])
-    assert stats.lag_sums().shape == (max_lag,)
-    assert np.all(np.abs(stats.lag_sums() - ref) <= 1e-12 * scale)
+    assert abs(stats.lag1 - np.dot(post[:-1], post[1:])) <= 1e-12 * scale
+    rho = stats.lag1 / stats.sum_sq
+    if rho > 0:
+        assert stats.lag1_rate(0.1) == -math.log(rho) / 0.1
+    else:
+        with pytest.raises(InsufficientDataError):
+            stats.lag1_rate(0.1)
 
 
 def test_stream_stats_pool_moments_and_refuse_non_finite():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=1000), rng.normal(2.0, 3.0, size=700)
-    stats = StreamStats(5)
+    stats = StreamStats()
     stats.add(a)
     stats.add(b, lags=False)  # into the moments only
     both = np.concatenate((a, b))
     assert stats.moments().variance == pytest.approx(np.var(both, ddof=1), rel=1e-12)
     assert stats.moments().mean == pytest.approx(both.mean(), rel=1e-12)
-    assert stats.n_lag == 1000 and stats.sum_sq == pytest.approx(np.dot(a, a), rel=1e-12)
+    assert stats.sum_sq == pytest.approx(np.dot(a, a), rel=1e-12)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="history contains non-finite entries"):
-            StreamStats(5).add(np.array([1.0, bad, 2.0]))
+            StreamStats().add(np.array([1.0, bad, 2.0]))
+
+
+@pytest.mark.parametrize("chunks", [
+    [np.array([1.0])],  # one sample: no pair
+    [np.zeros(3), np.zeros(4)],  # all zero
+    [np.array([1.0, -1.0, 1.0]), np.array([-1.0, 1.0])],  # rho_1 = -4/5
+])
+def test_lag1_rate_needs_a_positive_correlation(chunks):
+    stats = StreamStats()
+    for chunk in chunks:
+        stats.add(chunk)
+    with pytest.raises(InsufficientDataError, match="lag-1 correlation"):
+        stats.lag1_rate(0.1)
+
+
+def test_lag1_rate_of_a_pure_decay():
+    # x_n = alpha^n: sum x_n x_{n+1} / sum x_n^2 = alpha (1 - alpha^(2N-2)) / (1 - alpha^(2N))
+    alpha, n = math.exp(-0.3), 200
+    stats = StreamStats()
+    x = alpha ** np.arange(n)
+    for start in range(0, n, 7):
+        stats.add(x[start : start + 7])
+    assert stats.lag1_rate(0.1) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_acf_constant_history():
