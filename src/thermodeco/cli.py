@@ -47,7 +47,7 @@ from .langevin import (
     NoiseStream,
     SimConfig,
     _step_coefficients,
-    simulate_ensemble,
+    simulate_ensemble,  # unused here; perfbench/traced.py wraps it by this name
 )
 from .medium import (
     LatticeField,
@@ -71,7 +71,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-# Most threads a run may ask for: simulate's pool starts one per trajectory, up to workers.
+# Largest --workers accepted.  No command runs threads; perfbench's simulate-csv passes it.
 MAX_WORKERS = 256
 
 
@@ -81,6 +81,13 @@ class ConfigError(Exception):
 
 class ConsistencyViolation(Exception):
     """A result that contradicts what the physics guarantees: exit 4."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, one stderr line like every other exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @dataclass
@@ -210,6 +217,7 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool 
                           f"got {cfg.n_traj}")
     n_samples = _finite("number of steps t_end/dt", lambda: sim_config(cfg).n_steps) + 1
     _check_array_size("t_end/dt + 1 samples per trajectory", n_samples)
+    # no run is held whole; this bounds each substream m * n_traj + i under Philox's 64-bit key
     _check_array_size("len(k) * n_traj * (t_end/dt + 1) samples of the run",
                       len(ks) * cfg.n_traj * n_samples)
     _finite("equilibrium variance T0^2/c0", lambda: equilibrium_mode_variance(params))
@@ -320,30 +328,21 @@ def config_echo(cfg: RunConfig) -> dict:
 
 
 # the columns of a trajectory of one mode; a decoherence scan is its DECO_DTYPE table
-TRAJ_COLUMNS = ["t", "delta_T"]
+TRAJ_DTYPE = np.dtype([("t", float), ("delta_T", float)])
 
 
-class _TemplateMemo:
-    """The row templates _rows_text built for the last table, kept by _write for the tables
-    that follow.
+class Table:
+    """A table written as it is made, in parts: record arrays of one dtype; len() counts rows."""
 
-    Holds one template per block of BLOCK_ROWS rows, in which the table's first
-    column, when it holds floats, is written in as text and every other cell is a
-    placeholder, and their key: the table's layout, dtype, length and the bits of
-    that column.  A table with an equal key fills only its other cells, so the
-    time column that all trajectory tables of a simulate run share is formatted
-    once per run.  The key compares bits, not values: -0.0 and 0.0 are written
-    differently, and a NaN matches its own bits.  It is set once every block's
-    template is built, so a table written only in part leaves no key.
-    """
+    def __init__(self, dtype: np.dtype, n_rows: int, parts):
+        self.dtype, self.n_rows, self.parts = dtype, n_rows, parts
 
-    def __init__(self):
-        self.key = None
-        self.templates = []
+    def __len__(self) -> int:
+        return self.n_rows
 
 
-def write_csv(path: Path, columns: list[str], rows: np.ndarray, cfg: RunConfig, *,
-              memo: _TemplateMemo | None = None):
+def write_csv(path: Path, columns: list[str], rows: Table, cfg: RunConfig, *,
+              memo: dict | None = None):
     lines = []
     for key, val in config_echo(cfg).items():
         if isinstance(val, list):
@@ -352,17 +351,19 @@ def write_csv(path: Path, columns: list[str], rows: np.ndarray, cfg: RunConfig, 
     lines.append(",".join(columns))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(_csv_rows(rows, memo))
+        fh.writelines(_rows_text(rows, _csv_layout, "%.17g", list, memo))  # _fmt's floats
 
 
-def write_table(outdir: Path, stem: str, columns: list[str], rows: np.ndarray, cfg: RunConfig, *,
-                memo: _TemplateMemo | None = None):
+def write_table(outdir: Path, stem: str, columns: list[str], rows: Table | np.ndarray,
+                cfg: RunConfig, *, memo: dict | None = None):
     """Table in the configured format: CSV (default) or a JSON row list.
 
-    ``rows`` is a record array with one field per column; float fields are
-    written as numbers, other fields (bools) as _fmt writes them.  ``memo``
-    carries the text of a first column from one table to the next (_TemplateMemo).
+    ``rows`` is a Table or one record array, with one field per column; float fields
+    are written as numbers, other fields (bools) as _fmt writes them.  ``memo``
+    carries the text of a first column from one table to the next (_rows_text).
     """
+    if isinstance(rows, np.ndarray):
+        rows = Table(rows.dtype, len(rows), [rows])
     if cfg.format == "json":
         write_json(outdir / f"{stem}.json", {"columns": columns, "rows": rows}, cfg, memo=memo)
     else:
@@ -386,43 +387,40 @@ def _interleave(rows: np.ndarray, names, float_cells) -> tuple:
 BLOCK_ROWS = 2 ** 10
 
 
-def _rows_text(rows: np.ndarray, layout, float_spec: str, float_cells,
-               memo: _TemplateMemo | None):
-    """The text of a record array's rows, one block of BLOCK_ROWS rows at a time, each by
-    one template: layout(specs, n) lays out n rows of cells from their '%' specs,
-    float_spec and float_cells write a float cell.
+def _rows_text(table: Table, layout, float_spec: str, float_cells, memo: dict | None):
+    """The text of a table's rows, BLOCK_ROWS rows of a part at a time, each block by one
+    template: layout(specs, n) lays out n rows of cells from their '%' specs.
 
-    A first column of floats is written into the template as text first, each other
-    spec escaped as '%%' for that pass; the text of a float has no '%' of its own.
-    memo keeps the templates for a next table whose key is equal.
+    A first column of floats is written into the template as text first, each other spec
+    escaped as '%%' for that pass; the text of a float has no '%' of its own (float_spec and
+    float_cells write a float cell).  memo, kept by _write from table to table, maps a
+    block's first row index, below langevin.CHUNK, to its key and template; a block with
+    an equal key (the layout, the block's dtype and length, and the bits of its first
+    column, so -0.0 is not 0.0 and a NaN matches itself) fills only its other cells.  A
+    simulate run so formats its time column once while trajectories are one chunk long.
     """
-    rows = rows.view(np.ndarray)  # a recarray's per-block slicing and field access cost more
-    names = rows.dtype.names
-    lead = names[:1] if rows.dtype[0].kind == "f" else ()
-    key = (layout, rows.dtype, len(rows), rows[lead[0]].tobytes() if lead else None)
-    if memo is None:
-        memo = _TemplateMemo()
-    reuse = memo.key == key
-    if not reuse:
-        specs = [float_spec if rows.dtype[name].kind == "f" else "%s" for name in names]
-        specs = [spec if name in lead else spec.replace("%", "%%")
-                 for name, spec in zip(names, specs)]
-        memo.key, memo.templates = None, []
-    for i, start in enumerate(range(0, len(rows), BLOCK_ROWS)):
-        block = rows[start : start + BLOCK_ROWS]
-        if not reuse:
-            memo.templates.append(layout(specs, len(block)) % _interleave(block, lead, float_cells))
-        yield memo.templates[i] % _interleave(block, names[len(lead):], float_cells)
-    memo.key = key
+    names = table.dtype.names
+    lead = names[:1] if table.dtype[0].kind == "f" else ()
+    specs = [float_spec if table.dtype[name].kind == "f" else "%s" for name in names]
+    specs = [spec if name in lead else spec.replace("%", "%%") for name, spec in zip(names, specs)]
+    memo = {} if memo is None else memo
+    row = 0
+    for part in table.parts:
+        part = part.view(np.ndarray)  # a recarray's per-block slicing and field access cost more
+        for start in range(0, len(part), BLOCK_ROWS):
+            block = part[start : start + BLOCK_ROWS]
+            key = (layout, block.dtype, len(block), block[lead[0]].tobytes() if lead else None)
+            kept, template = memo.get(row, (None, None))
+            if kept != key:
+                template = layout(specs, len(block)) % _interleave(block, lead, float_cells)
+                if row < langevin.CHUNK:
+                    memo[row] = key, template
+            yield template % _interleave(block, names[len(lead):], float_cells)
+            row += len(block)
 
 
 def _csv_layout(specs: list[str], n: int) -> str:
     return (",".join(specs) + "\n") * n
-
-
-def _csv_rows(rows: np.ndarray, memo: _TemplateMemo | None):
-    """CSV lines of a record array, block by block; '%.17g' writes a float as _fmt does."""
-    return _rows_text(rows, _csv_layout, "%.17g", list, memo)
 
 
 def _json_floats(values: list) -> list[str]:
@@ -435,18 +433,13 @@ def _json_layout(specs: list[str], n: int) -> str:
     return ",\n".join([item] * n)
 
 
-def _json_rows(rows: np.ndarray, memo: _TemplateMemo | None):
-    """A record array as the JSON list of its rows, indented as a member of an indent-2
-    object, block by block."""
-    if len(rows) == 0:
-        yield "[]"
-        return
-    yield "[\n"
-    for i, text in enumerate(_rows_text(rows, _json_layout, "%s", _json_floats, memo)):
-        if i:
-            yield ",\n"
-        yield text
-    yield "\n  ]"
+def _json_rows(rows: Table, memo: dict | None):
+    """A table as the JSON list of its rows, indented as a member of an indent-2 object."""
+    sep = "[\n"
+    for text in _rows_text(rows, _json_layout, "%s", _json_floats, memo):
+        yield sep + text
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
 
 
 def _json_value(x):
@@ -460,15 +453,15 @@ def _json_value(x):
     return x
 
 
-def write_json(path: Path, payload: dict, cfg: RunConfig, *, memo: _TemplateMemo | None = None):
+def write_json(path: Path, payload: dict, cfg: RunConfig, *, memo: dict | None = None):
     """payload and the config echo as json.dumps(_json_value(...), indent=2, sort_keys=True)
-    writes them; a record array member (a table's rows) is written by _json_rows in the
-    same bytes, not by json's pure-Python indent encoder.  Each member is written on its own."""
+    writes them; a Table member (a table's rows) is written by _json_rows in the same
+    bytes, not by json's pure-Python indent encoder.  Each member is written on its own."""
     payload = {**payload, "config": config_echo(cfg)}
     with open(path, "w", newline="\n") as fh:
         for i, (key, val) in enumerate(sorted(payload.items())):
             fh.write(("," if i else "{") + f"\n  {json.dumps(key)}: ")
-            if isinstance(val, np.ndarray):
+            if isinstance(val, Table):
                 fh.writelines(_json_rows(val, memo))
             else:
                 fh.write(json.dumps(_json_value(val), indent=2, sort_keys=True,
@@ -517,25 +510,28 @@ def _within_3sigma(estimate: float, expected: float, stderr: float) -> bool:
             and abs(estimate - expected) <= 3.0 * stderr)
 
 
-def _chunks(row: np.ndarray):
-    """A whole history cut where langevin.simulate_chunks cuts it."""
-    return (row[start : start + langevin.CHUNK] for start in range(0, row.size, langevin.CHUNK))
-
-
-def _estimate_mode(params: MediumParams, cfg: RunConfig, k: float, trajs):
-    """Estimates from a mode's trajectories, each an iterable of its chunks in order, cut
-    where langevin.simulate_chunks cuts (so that every caller sums in the same order):
-    gamma_k, the burn-in steps, the moments of all post-burn-in samples pooled in trajectory
-    order (None below 2 samples), and the lag-1 rate of trajectory 0 after burn-in, or the
-    InsufficientDataError."""
+def _estimate_mode(params: MediumParams, cfg: RunConfig, m: int, k: float,
+                   trajectory=lambda i, chunks: ()):
+    """Yield what trajectory(i, chunks) yields for each trajectory i of mode m, given the
+    (start index, chunk)s of langevin.simulate_chunks on substream m * n_traj + i, each chunk
+    fed to one estimator once it is read (the rest after).  Return gamma_k, the burn-in steps,
+    the pooled post-burn-in moments (None below 2), trajectory 0's lag-1 rate or its error."""
     gamma = relaxation_rate(params, k)
     n_burn = _burn_in_steps(cfg, gamma)
     stats = StreamStats()
-    for i, chunks in enumerate(trajs):
+
+    def fed(i: int):
         start = 0
-        for chunk in chunks:
+        for chunk in langevin.simulate_chunks(params, k, sim_config(cfg), m * cfg.n_traj + i):
+            yield start, chunk
             stats.add(chunk[max(n_burn - start, 0):], lags=i == 0)
             start += chunk.size
+
+    for i in range(cfg.n_traj):
+        chunks = fed(i)
+        yield from trajectory(i, chunks)
+        for _ in chunks:
+            pass
     st = stats.moments() if stats.n >= 2 else None
     try:
         rate = stats.lag1_rate(cfg.dt)
@@ -544,14 +540,21 @@ def _estimate_mode(params: MediumParams, cfg: RunConfig, k: float, trajs):
     return gamma, n_burn, st, rate
 
 
+def _trajectory_rows(chunks, dt: float):
+    """(t = n dt, delta_T) record arrays of BLOCK_ROWS rows of a trajectory's (start, chunk)s."""
+    for start, chunk in chunks:
+        for j in range(0, chunk.size, BLOCK_ROWS):
+            values = chunk[j : j + BLOCK_ROWS]
+            yield np.rec.fromarrays([np.arange(start + j, start + j + values.size) * dt, values],
+                                    dtype=TRAJ_DTYPE)
+
+
 def run_simulate(cfg: RunConfig, params: MediumParams, ks: list[float]):
-    ensemble = simulate_ensemble(params, ks, cfg.n_traj, sim_config(cfg), n_workers=cfg.workers)
-    t = np.arange(ensemble.shape[-1]) * cfg.dt
+    n_rows = sim_config(cfg).n_steps + 1
     summary_modes = []
     for m, k in enumerate(ks):
-        for i in range(cfg.n_traj):
-            yield f"mode{m}_traj{i}", np.rec.fromarrays([t, ensemble[m, i]], names=TRAJ_COLUMNS)
-        gamma, n_burn, st, rate = _estimate_mode(params, cfg, k, map(_chunks, ensemble[m]))
+        gamma, n_burn, st, rate = yield from _estimate_mode(params, cfg, m, k, lambda i, chunks: [
+            (f"mode{m}_traj{i}", Table(TRAJ_DTYPE, n_rows, _trajectory_rows(chunks, cfg.dt)))])
         entry = {
             "k": k,
             "expected_rate": gamma,
@@ -570,16 +573,14 @@ def run_simulate(cfg: RunConfig, params: MediumParams, ks: list[float]):
 
 
 def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
-    sim = sim_config(cfg)
     report = []
     all_pass = True
     for m, k in enumerate(ks):
         if k == 0.0:
             report.append({"k": 0.0, "skipped": "conserved mode (zero rate, zero noise)"})
             continue
-        # one trajectory, streamed, on substream m * n_traj (n_traj is 1) as simulate draws it
-        chunks = langevin.simulate_chunks(params, k, sim, m * cfg.n_traj)
-        gamma, _, st, rate = _estimate_mode(params, cfg, k, [chunks])
+        # one trajectory (n_traj is 1), drawn as simulate draws it; it yields no output
+        gamma, _, st, rate = yield from _estimate_mode(params, cfg, m, k)
         expected = equilibrium_mode_variance(params)
         stderr = _stderr_variance(expected, st.n, params, cfg, k)
         var_pass = _within_3sigma(st.variance, expected, stderr)
@@ -665,10 +666,10 @@ def run_field_sample(cfg: RunConfig, params: MediumParams, ks: list[float]):
 
 def _write(cfg: RunConfig, outputs) -> int:
     """Write each (stem, output) a run yields into --out, created at the first output: a
-    record array as a table, a dict as a JSON report.  Exit 1 if a report does not pass."""
+    Table or record array as a table, a dict as a JSON report.  Exit 1 if a report fails."""
     outdir = Path(cfg.out)
     code = EXIT_OK
-    memo = _TemplateMemo()
+    memo = {}
     for stem, output in outputs:
         outdir.mkdir(parents=True, exist_ok=True)
         if isinstance(output, dict):
@@ -699,8 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         flag = "--k" if f.name == "k_list" else "--" + f.name.replace("_", "-")
         common.add_argument(flag, dest=f.name, default=argparse.SUPPRESS)
 
-    parser = argparse.ArgumentParser(prog="thermodeco",
-                                     description="Fluctuating heat diffusion simulator and verifier")
+    parser = _Parser(prog="thermodeco",
+                     description="Fluctuating heat diffusion simulator and verifier")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -738,17 +739,15 @@ _NO_MEMORY = "run does not fit in memory: "
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    check, run = _COMMANDS[args.command]
-    try:
+        args = build_parser().parse_args(argv)
+        check, run = _COMMANDS[args.command]
         cfg = resolve_config(args)
         params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
         ks = wavenumbers(cfg)
         check(cfg, params, ks)
+    except SystemExit:  # --help, which printed the usage
+        return EXIT_OK
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -128,8 +128,9 @@ def relaxation_rate(params: MediumParams, k):
 
 
 def noise_strength(params: MediumParams, k):
-    """Noise strength Gamma_k = D0 k^2 T0^2 / c0^2; zero on the conserved mode."""
-    return _per_mode(params, k, lambda d0k2: d0k2 * params.T0 ** 2 / params.c0 ** 2)
+    """Noise strength Gamma_k = D0 k^2 T0^2 / c0^2; exactly 0 at k = 0, even if c0^2 underflows."""
+    return _per_mode(params, k, lambda d0k2: d0k2 * params.T0 ** 2
+                     / np.where(d0k2 > 0, params.c0 ** 2, 1.0))
 
 
 def coupling_constant(params: MediumParams, k):

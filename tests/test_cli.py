@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -76,8 +77,15 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
-def test_bad_flag_exits_2():
-    assert main(["simulate", "--dt", "not-a-number"]) == 2
+def test_bad_flag_exits_2(capsys):
+    # a bad value, an unknown flag, no subcommand and a flag without its value
+    for argv in (["simulate", "--dt", "not-a-number"], ["simulate", "--k", "1", "--bogus", "1"],
+                 [], ["simulate", "--k"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert main(["simulate", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: thermodeco simulate")
 
 
 @pytest.mark.parametrize("argv", [
@@ -103,7 +111,6 @@ def test_bad_flag_exits_2():
     ["field-sample", "--d", "3", "--lattice-n", "2", "--lattice-a", "1e-110"],
     ["field-sample", "--T0", "1e154"],
     ["simulate", "--k", "1", "--t-end", "1e200", "--dt", "1"],
-    ["simulate", "--k", "1", "--t-end", "1e17", "--dt", "1"],
     ["field-sample", "--n-fields", "200000000000000000"],
     ["simulate", "--k", "1", "--t-end", "5", "--dt", "0.01", "--initial", "1e300", "--burn-in", "0"],
     ["deco-scan", "--k", "1e-200"],
@@ -152,14 +159,26 @@ WAIT4_PEAK = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:])
 
 
 def cold(argv: list[str], **env) -> subprocess.CompletedProcess:
+    """Run python on argv in a session of its own; on timeout, kill the session's every
+    process, the command a WAIT4_PEAK launcher started included."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path, **env),
-                          capture_output=True, text=True, timeout=120)
+    with subprocess.Popen([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path, **env),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
-# the limit makes an allocation that comes before its size check fail fast instead of
-# filling the machine's memory
+# the limits make an allocation that comes before its size check fail fast instead of
+# filling the machine's memory, and a run that streams output where it should have been
+# refused fail at 64 MiB of one file (exit 3) instead of filling the disk
 UNDER_2_GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "resource.setrlimit(resource.RLIMIT_FSIZE, (64 << 20, 64 << 20)); "
                "from thermodeco.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
@@ -168,7 +187,6 @@ UNDER_2_GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 
     ["simulate", "--k", "1", "--t-end", "5", "--n-traj", "18446744073709551616"],
     # under numpy's array size limit, beyond the memory limit: each fails at its one allocation
     ["simulate", "--k-count", "1099511627776"],
-    ["simulate", "--k", "1", "--t-end", "5", "--n-traj", "1099511627776"],
     ["field-sample", "--n-fields", "1099511627776"],
 ])
 def test_huge_size_exits_2_before_it_allocates(tmp_path, argv):
@@ -649,6 +667,17 @@ def test_field_sample_streams_in_bounded_memory(tmp_path):
     assert float(proc.stdout) < 60
 
 
+@pytest.mark.parametrize("fmt, bound", [("csv", 75), ("json", 85)])
+def test_simulate_writes_in_bounded_memory(tmp_path, fmt, bound):
+    # 1.2e6 rows, 3 chunks: with the whole trajectory, its time column, their record array
+    # and the memo key's copy of the time column held at once, this peaked at 114 MiB as CSV
+    # and 135 MiB as JSON
+    proc = cold(["-c", WAIT4_PEAK, sys.executable, "-m", "thermodeco.cli", "simulate", "--k", "1",
+                 "--t-end", "12000", "--format", fmt, "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < bound
+
+
 def test_deco_scan_writes_in_bounded_memory(tmp_path):
     # the benchmark's 1e5-wavenumber JSON scan (9.8 MB): with the whole table's text held at
     # once, its lead-column template, cell lists and text peaked at ~74 MiB
@@ -785,20 +814,25 @@ def test_table_sequence_matches_per_value_text(fmt, kinds, data):
                     assert text.endswith(per_value_csv_end(names, py_rows)), block
 
 
-def test_simulate_json_tables_match_per_value_encoder(tmp_path):
+def test_simulate_json_tables_match_per_value_encoder(tmp_path, monkeypatch):
     argv = ["simulate", "--k", "0,1.5", "--dt", "0.1", "--t-end", "3", "--n-traj", "3",
             "--seed", "4", "--format", "json"]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
     cfg = resolve_config(build_parser().parse_args(argv))
     params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
     ks = [0.0, 1.5]
     ensemble = simulate_ensemble(params, ks, 3, sim_config(cfg))
-    for m, trajs in enumerate(ensemble):
-        for i, values in enumerate(trajs):
-            hist = ModeHistory(ks[m], cfg.dt, values)
-            rows = [list(row) for row in zip(hist.times.tolist(), hist.values.tolist())]
-            text = (tmp_path / f"mode{m}_traj{i}.json").read_text()
-            assert text == per_value_json(["t", "delta_T"], rows, cfg)
+    # 31 rows: one chunk per trajectory, then chunks of 7 rows in blocks of 3, which cross
+    # the chunk edges and of which the memo keeps only those of the first chunk
+    for chunk, block in [(langevin.CHUNK, cli.BLOCK_ROWS), (7, 3)]:
+        monkeypatch.setattr(langevin, "CHUNK", chunk)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+        assert main(argv + ["--out", str(tmp_path / str(chunk))]) == 0
+        for m, trajs in enumerate(ensemble):
+            for i, values in enumerate(trajs):
+                hist = ModeHistory(ks[m], cfg.dt, values)
+                rows = [list(row) for row in zip(hist.times.tolist(), hist.values.tolist())]
+                text = (tmp_path / str(chunk) / f"mode{m}_traj{i}.json").read_text()
+                assert text == per_value_json(["t", "delta_T"], rows, cfg)
 
 
 # hostile values for any key: zero, negative, huge, tiny, non-finite and non-numeric
@@ -840,6 +874,9 @@ def command_lines(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(command_lines())
+# c0^2 underflows: the noise strength at k = 0 must still be 0, not 0/0 with a warning
+@example(["simulate", "--c0=1e-300", "--k-min=0", "--dk=0", "--k-count=1", "--dt=1", "--t-end=1",
+          "--noise-scale=0"])
 def test_cli_exit_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"

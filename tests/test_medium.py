@@ -49,6 +49,15 @@ def test_noise_strength_values():
     assert noise_strength(UNIT, 0.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, expected", [(0.0, 0.0), ([0.0, 1.0], [0.0, math.inf])])
+def test_noise_strength_is_zero_at_k0_when_c0_squared_underflows(k, expected):
+    # c0^2 is 0: D0 k^2 T0^2 / c0^2 is 0/0 at k = 0
+    gamma = noise_strength(MediumParams(T0=1.0, c0=1e-300, D0=1.0), k)
+    assert np.array_equal(gamma, expected)
+    assert type(gamma) is (float if np.ndim(k) == 0 else np.ndarray)
+
+
 def test_coupling_constant_values():
     assert coupling_constant(UNIT, 1.0) == 1.0
     assert coupling_constant(P243, 3.0) == pytest.approx(16.0 / 9.0, rel=1e-15)

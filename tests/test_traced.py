@@ -25,9 +25,10 @@ def run(args: list[str]) -> subprocess.CompletedProcess:
 
 
 # the entry point of the layer each subcommand exercises; fdr-verify's estimator is a
-# method the harness does not wrap, so its entry is the report writer
+# method the harness does not wrap, and simulate's chunked simulation a generator it does
+# not wrap, so their entries are the writers
 ENTRY = {
-    "simulate": "langevin.simulate_ensemble",
+    "simulate": "cli.write_csv",
     "fdr-verify": "cli.write_json",
     "deco-scan": "influence.decoherence_scan",
     "field-sample": "fieldspace.sample_equilibrium_field",
