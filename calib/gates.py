@@ -8,18 +8,18 @@ each run's fdr_report.json.  Every case is the golden config
 
     null          correct noise: the false-alarm rate of each gate, per mode
                   and per run
-    null-no-tol   the same with --rate-tol 0, the rate gate's 3 sd floor alone
     noise-1.1     --noise-scale 1.1: the power of the variance gate
     euler         --method euler-maruyama: the power of the rate gate, at
                   k = 4 (gamma dt = 0.16) and k = 3 (gamma dt = 0.09)
-    euler-no-tol  the same with --rate-tol 0, the power rate_tol costs
     k16           --k 16 --dt 0.01, one mode at gamma dt = 2.56: false alarms
+    short         --k 1 --dt 0.01 --burn-in 0 --t-end MIN_GAMMA_T, one mode at
+                  the shortest run fdr-verify accepts: false alarms
 
 A mode fails a gate when its pass flag is false; a run fails when it exits 1.
 A run that exits 2 (a config the command rejects) or otherwise is counted
-apart.  Not part of the test suite: 200 seeds of all cases, 1200 runs, take
-a minute or two on one core.  The last line of output is the numbers as one
-JSON object.
+apart.  200 seeds of all cases, 1000 runs, take a minute or two on one core;
+the test suite runs every case at 2 seeds (tests/test_calib.py).  The last
+line of output is the numbers as one JSON object.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from thermodeco import cli
 GOLDEN = ["--k", "0.5,1,2,3,4", "--dt", "0.01", "--t-end", "2000"]
 CASES = {
     "null": GOLDEN,
-    "null-no-tol": GOLDEN + ["--rate-tol", "0"],
     "noise-1.1": GOLDEN + ["--noise-scale", "1.1"],
     "euler": GOLDEN + ["--method", "euler-maruyama"],
-    "euler-no-tol": GOLDEN + ["--method", "euler-maruyama", "--rate-tol", "0"],
     "k16": ["--k", "16", "--dt", "0.01", "--t-end", "2000"],
+    # gamma = 1, so gamma*T after burn-in is t_end + dt
+    "short": ["--k", "1", "--dt", "0.01", "--burn-in", "0", "--t-end", str(cli.MIN_GAMMA_T)],
 }
 GATES = ("variance", "rate")
 

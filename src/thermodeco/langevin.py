@@ -7,7 +7,7 @@ Euler-Maruyama (O(dt) bias, used to demonstrate convergence).
 
 Reproducibility: noise comes from counter-based Philox substreams keyed
 by (master seed, substream id), so ensembles are bitwise identical
-regardless of execution order or thread count.
+regardless of the order their trajectories are drawn in.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -243,30 +242,21 @@ def simulate_mode(
     return ModeHistory(k=k, dt=cfg.dt, values=values)
 
 
-def simulate_ensemble(
-    params: MediumParams,
-    ks,
-    n_traj: int,
-    cfg: SimConfig,
-    n_workers: int = 1,
-) -> np.ndarray:
+def simulate_ensemble(params: MediumParams, ks, n_traj: int, cfg: SimConfig) -> np.ndarray:
     """Independent trajectories per wavenumber as one (len(ks), n_traj, n_steps + 1) array;
     result[m, i] is trajectory i of mode ks[m].
 
-    Row r = m * n_traj + i of the flattened array is filled by simulate_mode on
-    substream r, so output is independent of execution order and bitwise
-    identical across worker counts.
+    Row r = m * n_traj + i of the flattened array is filled from simulate_chunks on
+    substream r, so it is bitwise simulate_mode's history on that substream, whatever
+    order the rows are drawn in.  ValueError if an entry is not finite, as from simulate_mode.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     out = np.empty((len(ks), n_traj, cfg.n_steps + 1))
-    rows = out.reshape(-1, out.shape[-1])
-
-    def fill(r: int):
-        rows[r] = simulate_mode(params, ks[r // n_traj], cfg, substream=r).values
-
-    with ThreadPoolExecutor(max_workers=max(n_workers, 1)) as pool:
-        list(pool.map(fill, range(len(rows))))
+    for r, row in enumerate(out.reshape(-1, out.shape[-1])):
+        np.concatenate(list(simulate_chunks(params, ks[r // n_traj], cfg, substream=r)), out=row)
+    if not np.isfinite(out).all():
+        raise ValueError("history contains non-finite entries")
     return out
 
 

@@ -133,9 +133,14 @@ def noise_strength(params: MediumParams, k):
                      / np.where(d0k2 > 0, params.c0 ** 2, 1.0))
 
 
+def _over(numerator, denominator):
+    """numerator / denominator, inf (not 0/0) where the denominator underflows to 0."""
+    return np.where(denominator > 0, numerator, 1.0) / denominator
+
+
 def coupling_constant(params: MediumParams, k):
     """Coupling A_k = c0^2 / (D0 k^2 T0), equivalently T0 / Gamma_k; singular at k = 0."""
-    return _per_mode(params, k, lambda d0k2: params.c0 ** 2 / (d0k2 * params.T0),
+    return _per_mode(params, k, lambda d0k2: _over(params.c0 ** 2, d0k2 * params.T0),
                      "coupling constant")
 
 
@@ -144,7 +149,7 @@ def noise_kernel_amplitude(params: MediumParams, k):
 
     Singular at k = 0.
     """
-    return _per_mode(params, k, lambda d0k2: 2.0 * params.c0 ** 2 / d0k2, "noise kernel")
+    return _per_mode(params, k, lambda d0k2: _over(2.0 * params.c0 ** 2, d0k2), "noise kernel")
 
 
 def equilibrium_mode_variance(params: MediumParams) -> float:

@@ -126,7 +126,8 @@ def test_bad_flag_exits_2(capsys):
     ["field-sample", "--seed", "-1"],
     ["simulate", "--k", "1", "--t-end", "5", "--seed", "18446744073709551616"],
     ["simulate", "--k", "1", "--t-end", "5", "--burn-in", "-1"],
-    ["fdr-verify", "--k", "1", "--t-end", "400", "--rate-tol", "-0.1"],
+    # the rate gate's tolerance is its 3 sd, worked out from N, gamma and dt: no flag sets it
+    ["fdr-verify", "--k", "1", "--t-end", "400", "--rate-tol", "0.1"],
     # 1 sample after burn-in, no pair: alpha = 0.99875 alone would stand 10 sd clear of 0
     ["fdr-verify", "--k", "0.05", "--t-end", "1", "--dt", "0.5", "--burn-in", "1"],
     ["deco-scan", "--k", "1", "--scan-steps", "18446744073709551616"],
@@ -139,6 +140,13 @@ def test_bad_flag_exits_2(capsys):
     ["simulate", "--k", "1", "--t-end", "1", "--workers", str(cli.MAX_WORKERS + 1)],
     ["field-sample", "--n-fields", "1152921504606846976"],
     ["field-sample", "--d", "3", "--lattice-n", "2097152"],
+    # gamma*T after burn-in is 0.0101 and 99.01, below MIN_GAMMA_T: the lag-1 rate's ~1/T bias
+    # fails correct noise (fitted 0.86-1.04 against gamma = 0.01 at seeds 1-3)
+    ["fdr-verify", "--k", "0.1", "--burn-in", "0", "--t-end", "1"],
+    ["fdr-verify", "--k", "1", "--burn-in", "0", "--t-end", "99"],
+    # c0^2 and D0 k^2 both underflow: N_k is inf, not 0/0 with a numpy warning
+    ["deco-scan", "--c0", "1e-300", "--k", "1e-200"],
+    ["deco-scan", "--c0", "1e-300", "--k", "1e-200,1"],
 ])
 # a numpy warning would be a second line of stderr
 @pytest.mark.filterwarnings("error")
@@ -203,7 +211,7 @@ SETTINGS = {
     "T0": "2.5", "c0": "1.5", "D0": "0.5", "d": "2",
     "k_list": "1.5,2.5", "k_min": "0.5", "dk": "0.25", "k_count": "3",
     "dt": "0.02", "t_end": "50", "method": "euler-maruyama", "burn_in": "2.5",
-    "n_traj": "3", "initial": "0.3", "noise_scale": "0.5", "rate_tol": "0.1",
+    "n_traj": "3", "initial": "0.3", "noise_scale": "0.5",
     "amplitude": "0.2", "duration": "5", "scan_steps": "7",
     "lattice_n": "8", "lattice_a": "0.5", "n_fields": "50",
     "seed": "9", "out": "elsewhere", "format": "json", "workers": "2",
@@ -398,7 +406,7 @@ def test_fdr_verify_reports_a_non_positive_lag1_correlation(tmp_path, capsys, mo
     test = read_json(out / "fdr_report.json")["tests"][0]
     assert test["fitted_rate"] is None and test["rate_pass"] is False
     assert test["rate_error"].startswith("lag-1 correlation -0.98")
-    assert "rate_tol" not in test
+    assert "stderr_rate" not in test
 
 
 @pytest.mark.parametrize("method", ["exact-ou", "euler-maruyama"])
@@ -406,7 +414,7 @@ def test_variance_error_bar_follows_the_stepper(tmp_path, method):
     # the squared fluctuations correlate by e^(-2 gamma dt) under the exact law and by
     # (1 - gamma dt)^2 under Euler-Maruyama.  At both k, e^(-gamma dt)^2 rounds differently
     # from e^(-2 gamma dt), so the exact law's bytes are pinned too
-    common = ["--k", "0.5,3", "--dt", "0.05", "--t-end", "400", "--method", method]
+    common = ["--k", "0.5,3", "--dt", "0.05", "--t-end", "500", "--method", method]
     assert main(["simulate", *common, "--out", str(tmp_path / "s")]) in (0, 1)
     assert main(["fdr-verify", *common, "--out", str(tmp_path / "f")]) in (0, 1)
     modes = read_json(tmp_path / "s" / "summary.json")["modes"]
@@ -415,7 +423,7 @@ def test_variance_error_bar_follows_the_stepper(tmp_path, method):
         gamma_dt = mode["expected_rate"] * 0.05
         euler = (1.0 - gamma_dt) * (1.0 - gamma_dt)
         r = math.exp(-2.0 * gamma_dt) if method == "exact-ou" else euler
-        n = 8001 - mode["burn_in_steps"]
+        n = 10001 - mode["burn_in_steps"]
         n_eff = n * (1.0 - r) / (1.0 + r)
         assert mode["stderr_variance"] == mode["sample_variance"] * math.sqrt(2.0 / n_eff)
         assert test["stderr_variance"] == math.sqrt(2.0 / n_eff)
@@ -426,6 +434,31 @@ def test_old_config_with_max_lag_exits_2(tmp_path, capsys):
     cfgfile.write_text("k_list=1\nmax_lag=400\n")
     assert main(["fdr-verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: unknown config key 'max_lag'\n"
+
+
+def test_old_config_with_rate_tol_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("k_list=1\nrate_tol=0.1\n")
+    assert main(["fdr-verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key 'rate_tol'\n"
+
+
+@pytest.mark.parametrize("method", ["exact-ou", "euler-maruyama"])
+def test_rate_gate_is_3_sd_of_the_lag1_rate(tmp_path, method):
+    # the golden config.  Under Euler-Maruyama the rate gate fails at k = 3 and 4: at k = 3
+    # the deviation, 0.306, lies between 3 stderr_rate (0.298) and a 5% floor (0.45)
+    out = tmp_path / "o"
+    assert main(["fdr-verify", "--k", "0.5,1,2,3,4", "--dt", "0.01", "--t-end", "2000",
+                 "--method", method, "--out", str(out)]) in (0, 1)
+    tests = read_json(out / "fdr_report.json")["tests"]
+    for test in tests:
+        gamma = test["expected_rate"]
+        n = 200001 - math.ceil(10.0 / gamma / 0.01)
+        alpha = math.exp(-gamma * 0.01)
+        assert test["stderr_rate"] == math.sqrt((1.0 - alpha * alpha) / n) / (alpha * 0.01)
+        assert test["rate_pass"] == (
+            abs(test["fitted_rate"] - gamma) <= 3 * test["stderr_rate"])
+    assert [t["rate_pass"] for t in tests][-2:] == [method == "exact-ou"] * 2
 
 
 def test_summaries_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -507,7 +540,7 @@ def test_simulate_and_fdr_verify_agree_at_any_chunk_size(tmp_path, monkeypatch, 
     # their boundaries, and one chunk larger than the history.  Mode m draws substream m in
     # both commands
     monkeypatch.setattr(langevin, "CHUNK", chunk)
-    common = ["--k", "2,1", "--t-end", "30", "--burn-in", "1"]
+    common = ["--k", "3,2", "--t-end", "30", "--burn-in", "1"]
     assert main(["simulate", *common, "--out", str(tmp_path / "s")]) == 0
     assert main(["fdr-verify", *common, "--out", str(tmp_path / "f")]) in (0, 1)
     modes = read_json(tmp_path / "s" / "summary.json")["modes"]
@@ -857,7 +890,7 @@ def command_lines(draw):
         "method": st.sampled_from(["exact-ou", "euler-maruyama"]),
         "burn_in": st.one_of(st.just("auto"), st.floats(0.0, 5.0)), "n_traj": st.integers(1, 3),
         "initial": st.one_of(st.just("sample-equilibrium"), st.floats(-5.0, 5.0)),
-        "noise_scale": st.floats(0.0, 3.0), "rate_tol": st.floats(0.0, 1.0),
+        "noise_scale": st.floats(0.0, 3.0),
         "amplitude": st.floats(0.01, 1.0),
         "duration": st.floats(0.1, 20.0), "scan_steps": st.integers(1, 100),
         "lattice_n": st.integers(1, 8), "lattice_a": st.floats(0.1, 2.0),
@@ -877,6 +910,8 @@ def command_lines(draw):
 # c0^2 underflows: the noise strength at k = 0 must still be 0, not 0/0 with a warning
 @example(["simulate", "--c0=1e-300", "--k-min=0", "--dk=0", "--k-count=1", "--dt=1", "--t-end=1",
           "--noise-scale=0"])
+# c0^2 and D0 k^2 underflow: N_k must be inf, not 0/0 with a warning
+@example(["deco-scan", "--c0", "1e-300", "--k", "1e-200"])
 def test_cli_exit_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"

