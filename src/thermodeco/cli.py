@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
-from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -208,7 +208,8 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool 
 
     ``fdr`` also requires one trajectory per mode and, of every damped mode, a lag-1 rate
     fdr-verify can measure: e^(-gamma dt) below 1 and LAG1_CLEARANCE sd of its estimate above
-    0, over at least MIN_GAMMA_T relaxation times after burn-in.
+    0, over at least MIN_GAMMA_T relaxation times after burn-in.  Without ``fdr`` (simulate)
+    every row, none shorter than "0,0\n", must fit in the space free on --out's file system.
     """
     if fdr and cfg.n_traj > 1:
         raise ConfigError(f"fdr-verify runs one trajectory per mode; n_traj must be 1, "
@@ -240,6 +241,13 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool 
         if fdr and k > 0 and (gamma_t := gamma * n_post * cfg.dt) < MIN_GAMMA_T:
             raise ConfigError(f"lag-1 rate biased at k={k:g}: gamma*T = {gamma_t:.3g} after "
                               f"burn-in is below {MIN_GAMMA_T:g}; raise t_end")
+    if not fdr:
+        out = Path(cfg.out).absolute()
+        where = next(p for p in (out, *out.parents) if p.exists())
+        need, free = len(ks) * cfg.n_traj * n_samples * 4, shutil.disk_usage(where).free
+        if need > free:
+            raise ConfigError(f"the run writes at least {need} bytes, more than the {free} "
+                              f"bytes free at {where}")
 
 
 def _check_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
@@ -504,6 +512,12 @@ def _stderr_variance(variance: float, n: int, params: MediumParams, cfg: RunConf
     return variance_stderr_correlated(variance, n, r)
 
 
+def _z(estimate: float, expected: float, stderr: float) -> float:
+    """(estimate - expected)/stderr; inf or nan where stderr is 0 or a value is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(estimate - expected) / stderr)
+
+
 def _within_3sigma(estimate: float, expected: float, stderr: float) -> bool:
     """The gate |estimate - expected| <= 3 stderr; false when estimate or stderr is not finite."""
     return (math.isfinite(estimate) and math.isfinite(stderr)
@@ -589,6 +603,7 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
             "variance": st.variance,
             "expected_variance": expected,
             "stderr_variance": stderr,
+            "variance_z": _z(st.variance, expected, stderr),
             "variance_pass": var_pass,
             "expected_rate": gamma,
         }
@@ -598,6 +613,7 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
             alpha, sd = _lag1(gamma, st.n, cfg.dt)
             stderr_rate = sd / (alpha * cfg.dt)  # the delta method's sd of -ln(rho_1)/dt
             entry.update({"fitted_rate": rate, "stderr_rate": stderr_rate,
+                          "rate_z": _z(rate, gamma, stderr_rate),
                           "rate_pass": _within_3sigma(rate, gamma, stderr_rate)})
         all_pass = all_pass and var_pass and entry["rate_pass"]
         report.append(entry)
@@ -655,11 +671,13 @@ def run_field_sample(cfg: RunConfig, params: MediumParams, ks: list[float]):
         "energy_variance": st.variance,
         "energy_variance_stderr": st.stderr_variance,
         "expected_energy_variance": expected,
+        "energy_variance_z": _z(st.variance, expected, st.stderr_variance),
         "energy_variance_pass": du_pass,
         "parseval_residual": residual,
         "parseval_pass": parseval_pass,
         "mean_free_energy": mean_df,
         "expected_mean_free_energy": expected_df,
+        "equipartition_z": _z(mean_df, expected_df, stderr_df),
         "equipartition_pass": equip_pass,
         "all_pass": du_pass and parseval_pass and equip_pass,
     }
@@ -690,8 +708,6 @@ _COMMANDS = {
     "deco-scan": (_check_scan, run_deco_scan),
     "field-sample": (_check_fields, run_field_sample),
 }
-# the commands whose summaries are reduced through BLAS; they run on one BLAS thread
-_ONE_BLAS_THREAD = ("simulate", "fdr-verify")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -707,33 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
-
-
-@contextmanager
-def _one_blas_thread():
-    """numpy's bundled OpenBLAS on one thread inside the block, its thread count restored
-    after, so that summaries reduced through BLAS do not depend on the thread count.  If the
-    library or its thread functions are not found, one stderr line says so and the block
-    runs unpinned."""
-    import ctypes
-
-    try:
-        path = next(Path(np.__path__[0]).parent.glob("numpy.libs/libscipy_openblas64_*"))
-        lib = ctypes.CDLL(str(path))
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (StopIteration, OSError, AttributeError) as exc:
-        print(f"note: BLAS thread count not pinned ({type(exc).__name__}: {exc}); summaries "
-              f"reduced through BLAS may depend on it", file=sys.stderr)
-        yield
-        return
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 _NO_MEMORY = "run does not fit in memory: "
@@ -755,10 +744,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"config error: {_NO_MEMORY}{exc}", file=sys.stderr)
         return EXIT_CONFIG
-    blas = _one_blas_thread() if args.command in _ONE_BLAS_THREAD else nullcontext()
     try:
-        with blas:
-            return _write(cfg, run(cfg, params, ks))
+        return _write(cfg, run(cfg, params, ks))
     except ConfigError as exc:
         code, message = EXIT_CONFIG, f"config error: {exc}"
     except OSError as exc:

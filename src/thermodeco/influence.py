@@ -26,6 +26,7 @@ import numpy as np
 from .errors import GridMismatchError
 from .langevin import ModeHistory, _drift_operator, drift_residual
 from .medium import MediumParams, coupling_constant, noise_kernel_amplitude, relaxation_rate
+from .stats import _dot
 
 # a decoherence scan: one row per wavenumber, the table deco-scan writes
 DECO_DTYPE = np.dtype([("k", float), ("exponent", float), ("magnitude", float),
@@ -106,9 +107,12 @@ def dissipation_kernel_apply(
 def _left_dot(a: np.ndarray, b: np.ndarray):
     """Left-Riemann sum of a_n b_n along the last axis, all samples but the last (0 for one).
 
-    One sum per row, each summed as np.dot sums a pair of vectors.
+    Each row is summed on its own by stats._dot, so a sum depends neither on the BLAS thread
+    count nor on the other rows (one 2-d einsum splits long rows into buffered pieces).
     """
-    return (a[..., None, :-1] @ b[..., :-1, None])[..., 0, 0]
+    if a.ndim == 1:
+        return _dot(a[:-1], b[:-1])
+    return np.array([_left_dot(x, y) for x, y in zip(a, b)], dtype=float)
 
 
 def _noise_functional(params: MediumParams, ks, weights, dt: float, sum_sq):

@@ -60,6 +60,11 @@ def variance_stderr_correlated(variance: float, n: int, r: float) -> float:
     return variance * math.sqrt(2.0 / n_eff)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a_n b_n of two 1-d arrays in numpy's own loop, whatever the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 class StreamStats:
     """Moments and lag-1 sums of a history fed in consecutive chunks, in constant memory.
 
@@ -67,6 +72,7 @@ class StreamStats:
     pairwise update of Chan, Golub and LeVeque) and, unless lags=False, into sum_sq =
     sum x_n^2 and lag1 = sum x_n x_{n+1}, its first sample paired with the last one
     carried from the chunk before.  lags=False pools another trajectory into the moments.
+    Each sum of products is a _dot, so none depends on the BLAS thread count.
     """
 
     def __init__(self):
@@ -83,12 +89,12 @@ class StreamStats:
         dev = x - mean
         n = self.n + x.size
         delta = mean - self.mean
-        self.m2 += float(np.dot(dev, dev)) + delta * delta * self.n * x.size / n
+        self.m2 += _dot(dev, dev) + delta * delta * self.n * x.size / n
         self.mean += delta * x.size / n
         self.n = n
         if lags:
-            self.sum_sq += float(np.dot(x, x))
-            self.lag1 += self._last * float(x[0]) + float(np.dot(x[:-1], x[1:]))
+            self.sum_sq += _dot(x, x)
+            self.lag1 += self._last * float(x[0]) + _dot(x[:-1], x[1:])
             self._last = float(x[-1])
 
     def moments(self) -> EnsembleStats:
@@ -118,7 +124,8 @@ def autocorrelation(history: ModeHistory, max_lag: int) -> AcfEstimate:
 
     Lag sums come from matrix products (4x faster than a dot per lag): with x
     as rows of B = min(max_lag, 512) samples, zero-padded, the product of the
-    rows and the rows j blocks on holds x_n x_{n+jB+c-a} at entry (a, c).
+    rows and the rows j blocks on holds x_n x_{n+jB+c-a} at entry (a, c).  BLAS
+    computes them, so their last bits may depend on its thread count (no command calls this).
     """
     x = history.values
     n = x.size

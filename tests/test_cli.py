@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -166,7 +167,7 @@ WAIT4_PEAK = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:])
               "sys.exit(os.waitstatus_to_exitcode(status))")
 
 
-def cold(argv: list[str], **env) -> subprocess.CompletedProcess:
+def cold(argv: list[str], timeout: float = 120, **env) -> subprocess.CompletedProcess:
     """Run python on argv in a session of its own; on timeout, kill the session's every
     process, the command a WAIT4_PEAK launcher started included."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -174,7 +175,7 @@ def cold(argv: list[str], **env) -> subprocess.CompletedProcess:
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           start_new_session=True) as proc:
         try:
-            out, err = proc.communicate(timeout=120)
+            out, err = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
@@ -204,6 +205,42 @@ def test_huge_size_exits_2_before_it_allocates(tmp_path, argv):
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
     assert not out.exists()
     assert float(proc.stdout) < 200
+
+
+def test_simulate_larger_than_the_free_disk_exits_2(tmp_path):
+    # 2^40 trajectories of 501 rows, at least 2.2 PB: unchecked, this wrote ~1000 files a
+    # second until stopped
+    out = tmp_path / "a" / "o"
+    proc = cold(["-m", "thermodeco.cli", "simulate", "--k", "1", "--t-end", "5",
+                 "--n-traj", "1099511627776", "--out", str(out)], timeout=30)
+    assert proc.returncode == 2
+    need = 2 ** 40 * 501 * 4
+    assert proc.stderr.startswith(f"config error: the run writes at least {need} bytes")
+    assert proc.stderr.count("\n") == 1
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_needs_4_bytes_a_row_free(tmp_path, monkeypatch, fmt):
+    # 2 modes x 3 trajectories x 501 rows, none shorter than "0,0\n": 12024 bytes, checked
+    # against the free space of --out's nearest existing ancestor
+    seen = []
+
+    def free(nbytes):
+        def usage(path):
+            seen.append(Path(path))
+            return SimpleNamespace(total=10 ** 12, used=0, free=nbytes)
+        return usage
+
+    out = tmp_path / "a" / "b"
+    argv = ["simulate", "--k", "1,2", "--t-end", "5", "--n-traj", "3", "--format", fmt,
+            "--out", str(out)]
+    monkeypatch.setattr(cli.shutil, "disk_usage", free(12023))
+    assert main(argv) == 2 and not out.exists()
+    monkeypatch.setattr(cli.shutil, "disk_usage", free(12024))
+    assert main(argv) == 0
+    assert seen == [tmp_path, tmp_path]
+    assert sum(p.stat().st_size for p in out.iterdir() if p.name != "summary.json") > 12024
 
 
 # a non-default value for every config key, as written in a file or on the command line
@@ -297,7 +334,7 @@ def test_json_summary_has_no_non_finite_tokens(tmp_path):
         raise ValueError(f"non-JSON token {token}")
 
     report = json.loads((out / "field_summary.json").read_text(), parse_constant=reject)
-    assert report["energy_variance"] == "inf"
+    assert report["energy_variance"] == "inf" and report["energy_variance_z"] == "nan"
 
 
 def test_gate_fails_on_overflowed_estimate(tmp_path):
@@ -406,7 +443,7 @@ def test_fdr_verify_reports_a_non_positive_lag1_correlation(tmp_path, capsys, mo
     test = read_json(out / "fdr_report.json")["tests"][0]
     assert test["fitted_rate"] is None and test["rate_pass"] is False
     assert test["rate_error"].startswith("lag-1 correlation -0.98")
-    assert "stderr_rate" not in test
+    assert "stderr_rate" not in test and "rate_z" not in test
 
 
 @pytest.mark.parametrize("method", ["exact-ou", "euler-maruyama"])
@@ -462,9 +499,12 @@ def test_rate_gate_is_3_sd_of_the_lag1_rate(tmp_path, method):
 
 
 def test_summaries_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the lag sums and moments are BLAS products and dots, which OpenBLAS splits by thread
+    # every sum of products behind an output is a 1-d einsum, which OpenBLAS does not split
+    # by thread.  The 1e5-step scan's sum of squares differed at 1 and 2 threads as a matmul
     for argv in (["simulate", "--k", "1,2", "--t-end", "2000", "--n-traj", "2"],
-                 ["fdr-verify", "--k", "1,2", "--t-end", "2000"]):
+                 ["fdr-verify", "--k", "1,2", "--t-end", "2000"],
+                 ["deco-scan", "--k", "0.5,1,2", "--scan-steps", "100000"],
+                 ["field-sample", "--lattice-n", "16", "--n-fields", "500"]):
         outs = {}
         for threads in ("1", "2"):
             outs[threads] = tmp_path / f"{argv[0]}-{threads}"
@@ -477,50 +517,27 @@ def test_summaries_do_not_depend_on_the_blas_thread_count(tmp_path):
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
-def blas_threads() -> int:
-    import ctypes
-
-    libs = list(Path(np.__path__[0]).parent.glob("numpy.libs/libscipy_openblas64_*"))
-    if not libs:
-        pytest.skip("numpy has no bundled OpenBLAS here")
-    return ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_()
-
-
-@pytest.mark.parametrize("argv, pinned", [
-    (["simulate", "--k", "1", "--t-end", "50"], True),
-    (["fdr-verify", "--k", "1", "--t-end", "400"], True),
-    (["deco-scan", "--k", "0,1"], False),
-    (["field-sample", "--lattice-n", "8", "--n-fields", "50"], False),
-])
-def test_simulate_and_fdr_verify_run_on_one_blas_thread(tmp_path, monkeypatch, argv, pinned):
-    before = blas_threads()
-    during = []
-    blas_runs = cli._one_blas_thread
-
-    def recorded():
-        during.append(None)
-        return blas_runs()
-
-    monkeypatch.setattr(cli, "_one_blas_thread", recorded)
-    rate = cli.StreamStats.lag1_rate
-    monkeypatch.setattr(cli.StreamStats, "lag1_rate",
-                        lambda stats, dt: during.append(blas_threads()) or rate(stats, dt))
-    assert main(argv + ["--out", str(tmp_path / "o")]) in (0, 1)
-    assert during == ([None, 1] if pinned else [])
-    assert blas_threads() == before
-
-
-def test_unpinned_run_says_so_once(tmp_path, capsys, monkeypatch):
-    import ctypes
-
-    def unloadable(name):
-        raise OSError(f"{name}: cannot open")
-
-    monkeypatch.setattr(ctypes, "CDLL", unloadable)
-    assert main(["fdr-verify", "--k", "1", "--t-end", "400", "--seed", "2",
-                 "--out", str(tmp_path / "o")]) == 0
-    err = capsys.readouterr().err
-    assert err.startswith("note: BLAS thread count not pinned (OSError: ") and err.count("\n") == 1
+def test_reports_carry_z_scores_beside_their_pass_flags(tmp_path):
+    assert main(["fdr-verify", "--k", "1,2", "--t-end", "400", "--seed", "2",
+                 "--out", str(tmp_path / "f")]) == 0
+    for test in read_json(tmp_path / "f" / "fdr_report.json")["tests"]:
+        assert test["variance_z"] == (
+            (test["variance"] - test["expected_variance"]) / test["stderr_variance"])
+        assert test["rate_z"] == (
+            (test["fitted_rate"] - test["expected_rate"]) / test["stderr_rate"])
+    args = ["field-sample", "--lattice-n", "8", "--n-fields", "50", "--T0", "1.5"]
+    assert main(args + ["--out", str(tmp_path / "a")]) in (0, 1)
+    assert main(args + ["--noise-scale", "0", "--out", str(tmp_path / "b")]) == 1
+    noisy, still = (read_json(tmp_path / name / "field_summary.json") for name in "ab")
+    stderr_df = math.sqrt(8 / 2.0) * 1.5 / math.sqrt(50)  # of the mean free energy
+    for report in (noisy, still):
+        assert report["equipartition_z"] == (
+            (report["mean_free_energy"] - report["expected_mean_free_energy"]) / stderr_df)
+    assert noisy["energy_variance_z"] == (
+        (noisy["energy_variance"] - noisy["expected_energy_variance"])
+        / noisy["energy_variance_stderr"])
+    # without noise the energy variance and its error bar are 0
+    assert still["energy_variance"] == 0.0 and still["energy_variance_z"] == "-inf"
 
 
 def test_simulate_and_fdr_verify_share_one_estimator(tmp_path):

@@ -239,22 +239,24 @@ def test_decoherence_matches_twice_noise_action():
 
 
 def test_pair_modes_match_one_mode_pairs():
-    # every mode at once equals the mode-by-mode loop, summed in mode order
+    # every mode at once equals the mode-by-mode loop, summed in mode order.  Rows longer than
+    # numpy's 8192-element buffer too: a 2-d einsum sums those in pieces, a 1-d one does not
     rng = np.random.default_rng(10)
-    pair = _random_pair(rng, n_modes=4)
-    ks = np.concatenate([[0.0], pair.ks])
-    b1 = np.vstack([rng.normal(size=(1, 25)), pair.branch1])
-    b2 = np.vstack([rng.normal(size=(1, 25)), pair.branch2])
-    ws = np.concatenate([[1.0], pair.weights])
-    singles = [_pair(k, pair.dt, x1, x2, w) for k, x1, x2, w in zip(pair.ks, pair.branch1,
-                                                                   pair.branch2, pair.weights)]
-    exponents = [decoherence_exponent(P243, one).total_exponent for one in singles]
-    action = influence_action(P243, pair)
-    assert action.real == sum(influence_action(P243, one).real for one in singles)
-    assert action.imag == 0.5 * sum(exponents)
-    res = decoherence_exponent(P243, HistoryPair(ks, pair.dt, b1, b2, ws))
-    assert res.per_mode.tolist() == [math.inf] + exponents
-    assert res.total_exponent == math.inf and res.conserved_mode_diverged
+    for n in (25, 10001):
+        pair = _random_pair(rng, n_modes=4, n=n)
+        ks = np.concatenate([[0.0], pair.ks])
+        b1 = np.vstack([rng.normal(size=(1, n)), pair.branch1])
+        b2 = np.vstack([rng.normal(size=(1, n)), pair.branch2])
+        ws = np.concatenate([[1.0], pair.weights])
+        singles = [_pair(k, pair.dt, x1, x2, w) for k, x1, x2, w in zip(pair.ks, pair.branch1,
+                                                                       pair.branch2, pair.weights)]
+        exponents = [decoherence_exponent(P243, one).total_exponent for one in singles]
+        action = influence_action(P243, pair)
+        assert action.real == sum(influence_action(P243, one).real for one in singles)
+        assert action.imag == 0.5 * sum(exponents)
+        res = decoherence_exponent(P243, HistoryPair(ks, pair.dt, b1, b2, ws))
+        assert res.per_mode.tolist() == [math.inf] + exponents
+        assert res.total_exponent == math.inf and res.conserved_mode_diverged
 
 
 @pytest.mark.filterwarnings("error")
@@ -343,7 +345,7 @@ def test_decoherence_scan_arithmetic_on_the_sweep_grid():
     amplitude, duration, n_steps = 0.001, 10.0, 1000
     rows = decoherence_scan(UNIT, ks, amplitude, duration, n_steps)
     dt = duration / n_steps
-    sum_sq = float(np.dot(np.full(n_steps, amplitude), np.full(n_steps, amplitude)))
+    sum_sq = float(np.einsum("i,i->", np.full(n_steps, amplitude), np.full(n_steps, amplitude)))
 
     def exponent(d0k2):
         return 1.0 * dt * (2.0 * UNIT.c0 ** 2 / d0k2) * sum_sq
