@@ -16,11 +16,19 @@ failure, 2 config error, 3 I/O failure, 4 internal consistency violation.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# No command calls BLAS, yet numpy's OpenBLAS starts worker threads when it loads, and
+# they spend CPU in every process.  Ask it for one thread.  The setting acts only before
+# numpy loads, so a process that has loaded numpy already is left as it is
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import math
 import shutil
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain

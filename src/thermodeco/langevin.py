@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -163,7 +162,6 @@ def _step_coefficients(params: MediumParams, k: float, method: str, dt: float,
     return alpha, scale
 
 
-_kernel_lock = threading.Lock()
 _kernel = None
 
 
@@ -176,18 +174,17 @@ def _linear_filter():
     reach this one function.
     """
     global _kernel
-    with _kernel_lock:
-        if _kernel is None:
-            import scipy
+    if _kernel is None:
+        import scipy
 
-            stem = os.path.join(scipy.__path__[0], "signal", "_sigtools")
-            path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.exists(stem + s)), None)
-            if path is None:
-                raise ImportError(f"scipy has no compiled extension {stem}")
-            loader = ExtensionFileLoader("scipy.signal._sigtools", path)
-            module = module_from_spec(spec_from_loader(loader.name, loader))
-            loader.exec_module(module)
-            _kernel = module._linear_filter
+        stem = os.path.join(scipy.__path__[0], "signal", "_sigtools")
+        path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.exists(stem + s)), None)
+        if path is None:
+            raise ImportError(f"scipy has no compiled extension {stem}")
+        loader = ExtensionFileLoader("scipy.signal._sigtools", path)
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        _kernel = module._linear_filter
     return _kernel
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -168,10 +169,12 @@ WAIT4_PEAK = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:])
 
 
 def cold(argv: list[str], timeout: float = 120, **env) -> subprocess.CompletedProcess:
-    """Run python on argv in a session of its own; on timeout, kill the session's every
-    process, the command a WAIT4_PEAK launcher started included."""
+    """Run python on argv in a session of its own, an env value of None unsetting the
+    variable; on timeout, kill the session's every process, the command a WAIT4_PEAK
+    launcher started included."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    with subprocess.Popen([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path, **env),
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    with subprocess.Popen([sys.executable, *argv], env={k: v for k, v in env.items() if v is not None},
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           start_new_session=True) as proc:
         try:
@@ -498,23 +501,63 @@ def test_rate_gate_is_3_sd_of_the_lag1_rate(tmp_path, method):
     assert [t["rate_pass"] for t in tests][-2:] == [method == "exact-ou"] * 2
 
 
+def assert_same_trees(outs: dict):
+    """Every output directory in outs holds the same files with the same bytes."""
+    first, *rest = outs.values()
+    files = sorted(p.name for p in first.iterdir())
+    assert files
+    for out in rest:
+        assert files == sorted(p.name for p in out.iterdir())
+        for name in files:
+            assert (out / name).read_bytes() == (first / name).read_bytes(), (out, name)
+
+
 def test_summaries_do_not_depend_on_the_blas_thread_count(tmp_path):
     # every sum of products behind an output is a 1-d einsum, which OpenBLAS does not split
-    # by thread.  The 1e5-step scan's sum of squares differed at 1 and 2 threads as a matmul
+    # by thread.  The 1e5-step scan's sum of squares differed at 1 and 2 threads as a matmul.
+    # Unset, the command asks for one thread; a value the user sets is kept
     for argv in (["simulate", "--k", "1,2", "--t-end", "2000", "--n-traj", "2"],
                  ["fdr-verify", "--k", "1,2", "--t-end", "2000"],
                  ["deco-scan", "--k", "0.5,1,2", "--scan-steps", "100000"],
                  ["field-sample", "--lattice-n", "16", "--n-fields", "500"]):
         outs = {}
-        for threads in ("1", "2"):
+        for threads in (None, "2"):
             outs[threads] = tmp_path / f"{argv[0]}-{threads}"
             proc = cold(["-m", "thermodeco.cli", *argv, "--out", str(outs[threads])],
                         OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode in (0, 1) and proc.stderr == ""
-        files = sorted(p.name for p in outs["1"].iterdir())
-        assert files == sorted(p.name for p in outs["2"].iterdir())
-        for name in files:
-            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+        assert_same_trees(outs)
+
+
+# numpy's SIMD dispatch: unset, then with AVX-512 loops off, then with AVX2 loops off too
+AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+DISPATCH = (None, AVX512_OFF, AVX512_OFF + " X86_V3")
+# the loop numpy picked for complex128 absolute, one of numpy.lib.introspect's names
+ABS_LOOP = ("from numpy.lib.introspect import opt_func_info; "
+            "print(opt_func_info('absolute', 'complex128')['absolute']['Dd']['current'])")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="numpy's x86-64 dispatch levels")
+def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES goes only into these child processes.  Complex abs picked
+    # its loop per CPU: the 2-d parseval_residual moved with AVX2 off
+    loops = [cold(["-c", ABS_LOOP], NPY_DISABLE_CPU_FEATURES=s).stdout.strip() for s in DISPATCH]
+    assert loops[2] == "baseline(X86_V2)" and "X86_V4" not in loops[1]
+    commands = (["field-sample", "--lattice-n", "64", "--n-fields", "2000"],
+                ["field-sample", "--d", "2", "--lattice-n", "16", "--n-fields", "5000"],
+                ["deco-scan", "--k", "0.5,1,2", "--scan-steps", "100000"],
+                ["fdr-verify", "--k", "0.5,1,2,3,4", "--dt", "0.01", "--t-end", "2000"],
+                ["simulate", "--k", "0,1,2", "--n-traj", "3", "--t-end", "50"],
+                ["simulate", "--k", "0,1,2", "--n-traj", "3", "--t-end", "50",
+                 "--format", "json"])
+    for j, argv in enumerate(commands):
+        outs = {setting: tmp_path / f"{j}-{i}" for i, setting in enumerate(DISPATCH)}
+        for setting, out in outs.items():
+            proc = cold(["-m", "thermodeco.cli", *argv, "--out", str(out)],
+                        NPY_DISABLE_CPU_FEATURES=setting)
+            assert proc.returncode in (0, 1) and proc.stderr == "", (argv, setting)
+        assert_same_trees(outs)
 
 
 def test_reports_carry_z_scores_beside_their_pass_flags(tmp_path):

@@ -1,4 +1,6 @@
+import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -166,12 +168,37 @@ def test_coefficient_error_contract(f, k, outcome):
         assert f(UNIT, k) == outcome
 
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thermodeco"
+
+
 def test_no_float_power_in_sources():
     # C pow squares k as the platform's libm rounds it; D0 * k * k is the same everywhere
-    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "thermodeco").glob("*.py"))
+    sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     for path in sources:
         assert "float_power" not in path.read_text(), path.name
+
+
+def test_no_threads_and_a_package_init_that_loads_only_the_standard_library():
+    # no code runs threads, so none needs a lock.  The package __init__ runs before
+    # thermodeco.cli can ask OpenBLAS for one thread, so it must not load numpy
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""])
+                assert "threading" not in (n.split(".")[0] for n in names), path.name
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.Import):
+            roots = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        assert set(roots) <= sys.stdlib_module_names, ast.unparse(node)
 
 
 def test_lattice_field_validation():

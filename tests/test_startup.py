@@ -3,7 +3,8 @@
 scipy is loaded on the first simulated mode, and then only lfilter's compiled
 extension: scipy.signal and scipy.stats never load.  Commands that simulate
 nothing never load scipy at all.  A cold run must write the same bytes at
-every --workers count.
+every --workers count.  Importing the package loads no numpy, so a command can ask
+OpenBLAS for one thread before numpy loads.
 """
 
 import os
@@ -21,10 +22,12 @@ PROBE = ("import sys; from thermodeco.cli import main; rc = main(sys.argv[1:]); 
          "any(m in sys.modules for m in ('scipy.signal', 'scipy.stats')))")
 
 
-def start(argv: list[str]) -> subprocess.Popen:
+def start(argv: list[str], probe: str = PROBE, **env) -> subprocess.Popen:
+    """Run probe on argv in a fresh interpreter; an env value of None unsets the variable."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-c", PROBE, *argv], text=True,
-                            env=dict(os.environ, PYTHONPATH=path),
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.Popen([sys.executable, "-c", probe, *argv], text=True,
+                            env={k: v for k, v in env.items() if v is not None},
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
@@ -61,3 +64,62 @@ def test_cold_first_simulation_is_identical_across_worker_counts(tmp_path):
     for name in files:
         for w in workers[1:]:
             assert (tmp_path / w / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+# every name the package exported when its __init__ imported each submodule eagerly
+EXPORTED = {
+    "AcfEstimate", "DECO_DTYPE", "DecoherenceResult", "DimensionMismatchError",
+    "EnsembleStats", "GridMismatchError", "HistoryPair", "InfluenceValue",
+    "InsufficientDataError", "LatticeField", "METHOD_EULER", "METHOD_EXACT", "MediumParams",
+    "ModeHistory", "NoiseStream", "NonHermitianError", "SAMPLE_EQUILIBRIUM", "SimConfig",
+    "SingularModeError", "SpectralField", "antisymmetry_residual", "autocorrelation",
+    "coupling_constant", "decoherence_exponent", "decoherence_scan",
+    "deterministic_decay", "dissipation_kernel_apply", "drift_residual",
+    "equilibrium_mode_variance", "fit_exponential_rate", "free_energy_change",
+    "free_energy_hessian", "from_modes", "influence_action", "mean_free_energy",
+    "noise_kernel_amplitude", "noise_strength", "parseval_check", "relaxation_rate",
+    "sample_equilibrium_field", "sample_variance", "simulate_ensemble", "simulate_mode",
+    "static_free_energy_identity", "step_euler_maruyama", "step_exact_ou", "to_modes",
+    "total_energy_change", "total_energy_fluctuation", "variance_stderr_correlated",
+}
+# whether numpy and OPENBLAS_NUM_THREADS are there after `import thermodeco`; then,
+# after `from thermodeco import` the remaining arguments, whether numpy is, and the names
+# missing from dir()
+LAZY = ("import os, sys, thermodeco; "
+        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS')); "
+        "exec('from thermodeco import ' + ', '.join(sys.argv[1:])); "
+        "print('numpy' in sys.modules, sorted(set(sys.argv[1:]) - set(dir(thermodeco))))")
+
+
+def test_importing_the_package_loads_no_numpy_and_exports_every_name():
+    proc = start(sorted(EXPORTED), LAZY, OPENBLAS_NUM_THREADS=None)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["False None", "True []"]
+    import thermodeco
+
+    assert set(thermodeco.__all__) == EXPORTED
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        thermodeco.nonexistent
+
+
+# cli.main on the remaining arguments; then its exit code, OPENBLAS_NUM_THREADS and the
+# number of the process's threads
+THREADS = ("import os, sys; from thermodeco.cli import main; rc = main(sys.argv[1:]); "
+           "print(rc, os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("setting, expected", [
+    (None, "1 1"),  # the command asks for one thread
+    ("2", "2 2"),  # a value the user set is kept
+])
+def test_a_command_starts_no_blas_thread_pool(tmp_path, setting, expected):
+    argv = ["field-sample", "--lattice-n", "8", "--n-fields", "50", "--out", str(tmp_path / "o")]
+    assert result(start(argv, THREADS, OPENBLAS_NUM_THREADS=setting)) == "0 " + expected
+
+
+def test_a_process_that_loaded_numpy_first_is_left_alone():
+    probe = ("import os, numpy, thermodeco.cli; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert result(start([], probe, OPENBLAS_NUM_THREADS=None)) == "None"
