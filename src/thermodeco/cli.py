@@ -29,6 +29,7 @@ import argparse
 import json
 import math
 import shutil
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import chain
@@ -79,7 +80,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-# Largest --workers accepted.  No command runs threads; perfbench's simulate-csv passes it.
+# Largest --workers accepted.  --workers changes nothing: the one thread a command may add
+# draws a long history's noise ahead (langevin.simulate_chunks).  perfbench's simulate-csv
+# passes it.
 MAX_WORKERS = 256
 
 
@@ -536,8 +539,9 @@ def _estimate_mode(params: MediumParams, cfg: RunConfig, m: int, k: float,
                    trajectory=lambda i, chunks: ()):
     """Yield what trajectory(i, chunks) yields for each trajectory i of mode m, given the
     (start index, chunk)s of langevin.simulate_chunks on substream m * n_traj + i, each chunk
-    fed to one estimator once it is read (the rest after).  Return gamma_k, the burn-in steps,
-    the pooled post-burn-in moments (None below 2), trajectory 0's lag-1 rate or its error."""
+    fed to one estimator once it is read (the rest after), which overwrites it: trajectory is
+    done with a chunk when it asks for the next.  Return gamma_k, the burn-in steps, the pooled
+    post-burn-in moments (None below 2), trajectory 0's lag-1 rate or its error."""
     gamma = relaxation_rate(params, k)
     n_burn = _burn_in_steps(cfg, gamma)
     stats = StreamStats()
@@ -546,14 +550,14 @@ def _estimate_mode(params: MediumParams, cfg: RunConfig, m: int, k: float,
         start = 0
         for chunk in langevin.simulate_chunks(params, k, sim_config(cfg), m * cfg.n_traj + i):
             yield start, chunk
-            stats.add(chunk[max(n_burn - start, 0):], lags=i == 0)
+            stats.add(chunk[max(n_burn - start, 0):], lags=i == 0)  # overwrites the chunk
             start += chunk.size
+            del chunk  # before the next chunk is filtered: three chunk-sized arrays stay live
 
     for i in range(cfg.n_traj):
         chunks = fed(i)
         yield from trajectory(i, chunks)
-        for _ in chunks:
-            pass
+        deque(chunks, maxlen=0)  # the rest, holding no chunk while the next is filtered
     st = stats.moments() if stats.n >= 2 else None
     try:
         rate = stats.lag1_rate(cfg.dt)
@@ -569,6 +573,7 @@ def _trajectory_rows(chunks, dt: float):
             values = chunk[j : j + BLOCK_ROWS]
             yield np.rec.fromarrays([np.arange(start + j, start + j + values.size) * dt, values],
                                     dtype=TRAJ_DTYPE)
+        del chunk, values  # before the next chunk is filtered, as in _estimate_mode
 
 
 def run_simulate(cfg: RunConfig, params: MediumParams, ks: list[float]):

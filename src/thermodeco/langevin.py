@@ -15,9 +15,11 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
 
@@ -169,18 +171,21 @@ def _linear_filter():
     """scipy's compiled lfilter recursion, called as lfilter calls it: (b, a, x, axis, zi).
 
     Loaded once, on first use, from scipy's scipy/signal/_sigtools extension
-    alone: importing scipy.signal runs its __init__, which loads scipy.stats,
-    scipy.optimize and scipy.interpolate, about a second and 70 MiB, all to
-    reach this one function.
+    alone, found where scipy is installed without importing scipy: importing
+    scipy.signal runs its __init__, which loads scipy.stats, scipy.optimize and
+    scipy.interpolate, about a second and 70 MiB, all to reach this one function,
+    and importing scipy alone costs about 16 ms and 1 MiB after numpy, against
+    under 1 ms and 0.1 MiB for the extension.
     """
     global _kernel
     if _kernel is None:
-        import scipy
-
-        stem = os.path.join(scipy.__path__[0], "signal", "_sigtools")
-        path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.exists(stem + s)), None)
+        spec = find_spec("scipy")
+        roots = spec.submodule_search_locations if spec else None
+        path = next(filter(os.path.exists, (os.path.join(root, "signal", "_sigtools" + suffix)
+                                            for root in roots or ()
+                                            for suffix in EXTENSION_SUFFIXES)), None)
         if path is None:
-            raise ImportError(f"scipy has no compiled extension {stem}")
+            raise ImportError("scipy has no compiled extension signal/_sigtools")
         loader = ExtensionFileLoader("scipy.signal._sigtools", path)
         module = module_from_spec(spec_from_loader(loader.name, loader))
         loader.exec_module(module)
@@ -188,9 +193,33 @@ def _linear_filter():
     return _kernel
 
 
-# Samples per chunk of a streamed history, 4 MiB.  fdr-verify over 5 modes of 1e7 samples,
-# 3 runs each on a 2-vCPU VM, took 3.5-3.9 s at 56 MiB peak RSS with 2^18, 3.0-3.2 s at
-# 66 MiB with 2^19 and 2.9-3.1 s at 86 MiB with 2^20.
+class _Ahead(threading.Thread):
+    """draw() run on a thread of its own, started at construction; result() joins the thread,
+    then returns what draw returned or raises what it raised, on the caller's thread.  (A
+    concurrent.futures executor does the same, but importing it costs 5-8 ms.)"""
+
+    def __init__(self, draw):
+        super().__init__(name="thermodeco-noise")
+        self._draw, self._value, self._error = draw, None, None
+        self.start()
+
+    def run(self):
+        try:
+            self._value = self._draw()
+        except BaseException as exc:  # raised again by result(), on the caller's thread
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+# Samples per chunk of a streamed history, 4 MiB.  fdr-verify over 5 modes of 1e7 samples, the
+# noise drawn one chunk ahead, 4 alternating runs each on a 2-vCPU VM: 1.63 s at 41 MiB peak
+# RSS with 2^18, 1.50 s at 48 MiB with 2^19 and 1.57 s at 60 MiB with 2^20.  StreamStats sums
+# each chunk on its own, so CHUNK also fixes the bits of fdr-verify's and simulate's estimates.
 CHUNK = 2 ** 19
 
 
@@ -198,9 +227,14 @@ def simulate_chunks(params: MediumParams, k: float, cfg: SimConfig, substream: i
     """The history of simulate_mode as consecutive arrays of CHUNK samples, the last one
     shorter; chunk j holds samples j * CHUNK onward.
 
-    The Philox normals of each chunk are drawn into one reused buffer and the recursion
-    carries its state from chunk to chunk, so the chunks are bitwise the pieces of the
-    whole history.  Each yielded array is new: the next chunk does not overwrite it.
+    The Philox normals of the chunks are drawn in turn into two reused buffers: while the
+    caller's thread scales and filters chunk j and the caller reduces it, a worker thread
+    draws chunk j + 1's normals into the other buffer.  One thread at a time draws, in stream order after x0, and
+    the recursion carries its state from chunk to chunk, so the chunks are bitwise the pieces
+    of the whole history.  A history of one chunk starts no thread.  The worker is joined
+    before the generator ends or is closed; its error is raised at the chunk it was drawing.
+    Each yielded array is new: the next chunk does not overwrite it.  A caller that drops it
+    before asking for the next one keeps three chunk-sized arrays live.
     """
     stream = NoiseStream(cfg.seed, substream)
     if cfg.initial == SAMPLE_EQUILIBRIUM:
@@ -210,21 +244,35 @@ def simulate_chunks(params: MediumParams, k: float, cfg: SimConfig, substream: i
     n = cfg.n_steps + 1
     alpha, scale = _step_coefficients(params, k, cfg.method, cfg.dt, cfg.noise_scale)
     b, a = np.array([1.0]), np.array([1.0, -alpha])
-    # The buffer holds x0, then the increments scale * n_i.  The recursion
-    # y_i = alpha * y_{i-1} + buf_i from the state -0.0 is the history in the scalar
-    # steppers' arithmetic: adding -0.0 is exact, so y_0 is x0 to the bit, -0.0 included.
+    bufs = [np.empty(min(CHUNK, n)) for _ in range(1 if n <= CHUNK else 2)]
+
+    def normals(start: int) -> np.ndarray:
+        # The normals n_i of the chunk at start, in its buffer; chunk 0 leaves its first
+        # entry to x0
+        part = bufs[start // CHUNK % 2][: min(CHUNK, n - start)]
+        stream.normal(out=part[1:] if start == 0 else part)
+        return part
+
     state = np.array([-0.0])
-    buf = np.empty(min(CHUNK, n))
-    for start in range(0, n, CHUNK):
-        part = buf[: min(CHUNK, n - start)]
-        if start == 0:
-            part[0], noise = x0, part[1:]
-        else:
-            noise = part
-        stream.normal(out=noise)
-        noise *= scale
-        values, state = _linear_filter()(b, a, part, -1, state)
-        yield values
+    part, ahead = normals(0), None
+    part[0] = x0
+    try:
+        for start in range(0, n, CHUNK):
+            if start + CHUNK < n:
+                ahead = _Ahead(partial(normals, start + CHUNK))
+            # The increments scale * n_i, scaled on this thread: the worker's draw is the
+            # longer side.  The recursion y_i = alpha * y_{i-1} + part_i from the state -0.0 is
+            # the history in the scalar steppers' arithmetic: adding -0.0 is exact, so y_0 is x0
+            # to the bit, -0.0 included.
+            part[1 if start == 0 else 0:] *= scale
+            values, state = _linear_filter()(b, a, part, -1, state)
+            yield values
+            del values  # before the next chunk's values are allocated
+            if ahead is not None:
+                part, ahead = ahead.result(), None
+    finally:
+        if ahead is not None:
+            ahead.join()
 
 
 def simulate_mode(

@@ -80,22 +80,24 @@ class StreamStats:
         self.sum_sq, self.lag1, self._last = 0.0, 0.0, 0.0
 
     def add(self, x: np.ndarray, lags: bool = True):
-        """Append the 1-d float array x; ValueError if an entry is not finite."""
+        """Append the writable 1-d float64 array x, overwriting it with its deviations
+        x - mean(x): they are formed in place, so a chunk needs no second array.  ValueError,
+        with x unchanged, if an entry is not finite."""
         if not x.size:
             return
         if not np.isfinite(x).all():
             raise ValueError("history contains non-finite entries")
-        mean = float(x.mean())
-        dev = x - mean
-        n = self.n + x.size
-        delta = mean - self.mean
-        self.m2 += _dot(dev, dev) + delta * delta * self.n * x.size / n
-        self.mean += delta * x.size / n
-        self.n = n
         if lags:
             self.sum_sq += _dot(x, x)
             self.lag1 += self._last * float(x[0]) + _dot(x[:-1], x[1:])
             self._last = float(x[-1])
+        mean = float(x.mean())
+        x -= mean
+        n = self.n + x.size
+        delta = mean - self.mean
+        self.m2 += _dot(x, x) + delta * delta * self.n * x.size / n
+        self.mean += delta * x.size / n
+        self.n = n
 
     def moments(self) -> EnsembleStats:
         """Mean, unbiased variance and its Gaussian stderr, as sample_variance gives them."""

@@ -395,6 +395,24 @@ def test_fdr_verify_holds_a_few_chunks_per_mode(tmp_path, monkeypatch):
     assert (peak - base) / (8 * langevin.CHUNK) < 8
 
 
+def test_fdr_verify_keeps_three_chunk_arrays_live(tmp_path, monkeypatch):
+    # the two noise buffers, one of them drawn ahead on the worker thread, and the filtered
+    # chunk being reduced, its deviations formed in place.  A fourth array, such as the
+    # previous chunk still referenced while the next is filtered, would be 4.5 chunks
+    monkeypatch.setattr(langevin, "CHUNK", 16384)
+    argv = ["fdr-verify", "--k", "1", "--t-end", "2000", "--out", str(tmp_path / "o")]
+    main(argv)  # imports and first-use set-up, not counted below
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc in (0, 1)
+    assert (peak - base) / (8 * langevin.CHUNK) < 4
+
+
 @pytest.mark.parametrize("fault, code, message", [
     ("memory", 2, "config error: run does not fit in memory: "),
     ("non-finite", 4, "internal consistency violation: history contains non-finite entries"),
@@ -426,6 +444,32 @@ def test_fdr_verify_stream_failure_ends_the_run(tmp_path, capsys, monkeypatch, f
     assert not runner.is_alive() and codes == [code]
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+    assert set(threading.enumerate()) <= before
+    assert not (tmp_path / "o").exists()
+
+
+def test_fdr_verify_noise_failure_on_the_worker_thread_ends_the_run(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr(langevin, "CHUNK", 4096)
+    normal, callers = langevin.NoiseStream.normal, []
+
+    def failing(self, *args, **kwargs):  # the third draw, chunk 1 or 2, fails
+        callers.append(threading.current_thread())
+        if len(callers) == 3:
+            raise MemoryError("no room for the noise")
+        return normal(self, *args, **kwargs)
+
+    monkeypatch.setattr(langevin.NoiseStream, "normal", failing)
+    before = set(threading.enumerate())
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(main(
+        ["fdr-verify", "--k", "1,2", "--t-end", "400", "--out", str(tmp_path / "o")])))
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive() and codes == [2]
+    assert callers[0] is runner and callers[2] is not runner
+    err = capsys.readouterr().err
+    assert err == "config error: run does not fit in memory: no room for the noise\n"
     assert set(threading.enumerate()) <= before
     assert not (tmp_path / "o").exists()
 

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +140,38 @@ def test_chunks_are_pieces_of_the_history(monkeypatch, chunk, initial):
     assert not any(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
     assert np.concatenate(chunks).tobytes() == whole.tobytes()
     assert simulate_mode(UNIT, 1.0, cfg, substream=3).values.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("chunk, threads", [(201, 0), (10 ** 6, 0), (64, 3)])
+def test_each_chunk_after_the_first_is_drawn_on_a_joined_thread(monkeypatch, chunk, threads):
+    cfg = SimConfig(dt=0.1, t_end=20.0, seed=5)  # 201 samples
+    monkeypatch.setattr(langevin, "CHUNK", chunk)
+    started, start = [], threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    assert len(list(langevin.simulate_chunks(UNIT, 1.0, cfg))) == threads + 1
+    assert len(started) == threads and not any(t.is_alive() for t in started)
+
+
+def test_a_closed_history_joins_its_worker(monkeypatch):
+    monkeypatch.setattr(langevin, "CHUNK", 64)
+    normal, drawers = NoiseStream.normal, []
+
+    def slow(self, *args, **kwargs):  # off the caller's thread, the draw outlasts close()
+        if threading.current_thread() is not threading.main_thread():
+            drawers.append(threading.current_thread())
+            time.sleep(0.2)
+        return normal(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoiseStream, "normal", slow)
+    chunks = langevin.simulate_chunks(UNIT, 1.0, SimConfig(dt=0.1, t_end=20.0, seed=5))
+    assert next(chunks).size == 64
+    chunks.close()
+    assert len(drawers) == 1 and not drawers[0].is_alive()
 
 
 # alpha = e^(-gamma dt) or 1 - gamma dt: the ends, both zeros and subnormals, then any

@@ -179,17 +179,20 @@ def test_no_float_power_in_sources():
         assert "float_power" not in path.read_text(), path.name
 
 
-def test_no_threads_and_a_package_init_that_loads_only_the_standard_library():
-    # no code runs threads, so none needs a lock.  The package __init__ runs before
-    # thermodeco.cli can ask OpenBLAS for one thread, so it must not load numpy
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources
-    for path in sources:
+def test_only_langevin_imports_threading_and_the_package_init_loads_only_the_standard_library():
+    # the one thread besides the caller's draws a history's noise one chunk ahead, in
+    # langevin.simulate_chunks; no other code runs threads, so none needs a lock.  The
+    # package __init__ runs before thermodeco.cli can ask OpenBLAS for one thread, so it
+    # must not load numpy
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                          else [node.module or ""])
-                assert "threading" not in (n.split(".")[0] for n in names), path.name
+                if "threading" in (n.split(".")[0] for n in names):
+                    importers.add(path.name)
+    assert importers == {"langevin.py"}
     for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
         if isinstance(node, ast.Import):
             roots = [a.name.split(".")[0] for a in node.names]

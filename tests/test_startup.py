@@ -1,9 +1,9 @@
 """Fresh-interpreter checks of what a command imports.
 
-scipy is loaded on the first simulated mode, and then only lfilter's compiled
-extension: scipy.signal and scipy.stats never load.  Commands that simulate
-nothing never load scipy at all.  A cold run must write the same bytes at
-every --workers count.  Importing the package loads no numpy, so a command can ask
+A simulated mode loads lfilter's compiled extension alone, on the first mode:
+scipy itself, scipy.signal and scipy.stats never load.  Commands that simulate
+nothing never touch scipy.  A cold run must write the same bytes at every
+--workers count.  Importing the package loads no numpy, so a command can ask
 OpenBLAS for one thread before numpy loads.
 """
 
@@ -51,14 +51,14 @@ def test_command_never_loads_scipy(tmp_path, argv):
     ["fdr-verify", "--k", "1", "--dt", "0.01", "--t-end", "400", "--seed", "2"],
 ])
 def test_simulation_never_loads_scipy_signal(tmp_path, argv):
-    assert result(start(argv + ["--out", str(tmp_path / "o")])) == "0 True False"
+    assert result(start(argv + ["--out", str(tmp_path / "o")])) == "0 False False"
 
 
 def test_cold_first_simulation_is_identical_across_worker_counts(tmp_path):
     argv = ["simulate", "--k", "1,2", "--n-traj", "4"]
     workers = ("1", "2", "8")
     procs = {w: start(argv + ["--workers", w, "--out", str(tmp_path / w)]) for w in workers}
-    assert [result(p) for p in procs.values()] == ["0 True False"] * len(workers)
+    assert [result(p) for p in procs.values()] == ["0 False False"] * len(workers)
     files = sorted(p.name for p in (tmp_path / "1").iterdir())
     assert len(files) == 9
     for name in files:
@@ -117,6 +117,14 @@ THREADS = ("import os, sys; from thermodeco.cli import main; rc = main(sys.argv[
 def test_a_command_starts_no_blas_thread_pool(tmp_path, setting, expected):
     argv = ["field-sample", "--lattice-n", "8", "--n-fields", "50", "--out", str(tmp_path / "o")]
     assert result(start(argv, THREADS, OPENBLAS_NUM_THREADS=setting)) == "0 " + expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_a_two_chunk_history_leaves_one_thread(tmp_path):
+    # 600001 samples, two chunks: the second one's noise is drawn on a worker thread, which
+    # is joined before the command returns
+    argv = ["fdr-verify", "--k", "1", "--t-end", "6000", "--out", str(tmp_path / "o")]
+    assert result(start(argv, THREADS, OPENBLAS_NUM_THREADS=None)) == "0 1 1"
 
 
 def test_a_process_that_loaded_numpy_first_is_left_alone():

@@ -121,7 +121,7 @@ def test_stream_stats_match_one_array(case, seed, mean):
     x = np.random.default_rng(seed).normal(mean, 1.0, size=n)
     stats = StreamStats()
     for start in range(0, n, chunk):  # chunks cut at absolute boundaries, burn-in dropped
-        stats.add(x[start : start + chunk][max(burn - start, 0):])
+        stats.add(x[start : start + chunk][max(burn - start, 0):].copy())  # add overwrites
     post = x[burn:]
     scale = float(np.dot(post, post))
     assert stats.n == post.size
@@ -140,8 +140,9 @@ def test_stream_stats_pool_moments_and_refuse_non_finite():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=1000), rng.normal(2.0, 3.0, size=700)
     stats = StreamStats()
-    stats.add(a)
-    stats.add(b, lags=False)  # into the moments only
+    stats.add(dev := a.copy())
+    assert dev.tobytes() == (a - float(a.mean())).tobytes()  # add leaves the deviations in place
+    stats.add(b.copy(), lags=False)  # into the moments only
     both = np.concatenate((a, b))
     assert stats.moments().variance == pytest.approx(np.var(both, ddof=1), rel=1e-12)
     assert stats.moments().mean == pytest.approx(both.mean(), rel=1e-12)
