@@ -26,6 +26,7 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import bisect
 import json
 import math
 import shutil
@@ -48,7 +49,7 @@ from .fieldspace import (
     total_energy_change,
     total_energy_fluctuation,  # unused here; perfbench/traced.py wraps it by this name
 )
-from .influence import decoherence_scan, noise_kernel_amplitude
+from .influence import DECO_DTYPE, decoherence_scan, noise_kernel_amplitude, scan_exponents
 from .langevin import (
     METHOD_EULER,
     METHOD_EXACT,
@@ -253,29 +254,37 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool 
             raise ConfigError(f"lag-1 rate biased at k={k:g}: gamma*T = {gamma_t:.3g} after "
                               f"burn-in is below {MIN_GAMMA_T:g}; raise t_end")
     if not fdr:
-        out = Path(cfg.out).absolute()
-        where = next(p for p in (out, *out.parents) if p.exists())
-        need, free = len(ks) * cfg.n_traj * n_samples * 4, shutil.disk_usage(where).free
-        if need > free:
-            raise ConfigError(f"the run writes at least {need} bytes, more than the {free} "
-                              f"bytes free at {where}")
+        _check_free_disk(cfg, len(ks) * cfg.n_traj * n_samples * 4)
 
 
-def _check_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
-    """A ConfigError unless the scan's settings are positive and the exponent decoherence_scan
-    computes a positive normal float over the scan (run_deco_scan finds repeated k).
+def _check_free_disk(cfg: RunConfig, need: int):
+    """A ConfigError if the run's tables need more than the need bytes free on the file
+    system of --out's nearest existing ancestor."""
+    out = Path(cfg.out).absolute()
+    where = next(p for p in (out, *out.parents) if p.exists())
+    if need > (free := shutil.disk_usage(where).free):
+        raise ConfigError(f"the run writes at least {need} bytes, more than the {free} "
+                          f"bytes free at {where}")
+
+
+def _check_scan(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
+    """A ConfigError unless the scan's settings are positive, its rows, none shorter than
+    "0,0,0,true\n", fit in the space free on --out's file system, and the exponent
+    decoherence_scan computes is a positive normal float over the scan (run_deco_scan finds
+    repeated k).
 
     The smallest and largest positive k have the largest and smallest exponents: at
     k_low N_k and the exponent must not overflow, at k_high the exponent must not
-    underflow.  Both are the scan's own rows at those k.
+    underflow.  Both are the scan's own rows at those k.  The grid is in increasing order,
+    so k_high is its last k and k_low is found by bisection, with no pass over the grid.
     """
     if not (cfg.amplitude > 0 and cfg.duration > 0 and cfg.scan_steps >= 1):
         raise ConfigError("amplitude and duration must be positive, scan_steps >= 1")
     _check_array_size("scan_steps + 1 branch-difference samples", cfg.scan_steps + 1)
-    positive = [k for k in ks if k > 0]
-    if not positive:
-        return
-    k_low, k_high = min(positive), max(positive)
+    _check_free_disk(cfg, len(grid) * len("0,0,0,true\n"))
+    if (low := bisect.bisect_right(range(len(grid)), 0.0, key=grid.at)) == len(grid):
+        return  # no positive k
+    k_low, k_high = grid.at(low), grid.at(len(grid) - 1)
     _finite(f"noise kernel N_k at k={k_low:g}", lambda: noise_kernel_amplitude(params, k_low))
     with np.errstate(over="ignore"):  # an overflowing sum of squares is inf: rejected below
         largest, smallest = decoherence_scan(params, [k_low, k_high], cfg.amplitude, cfg.duration,
@@ -302,21 +311,79 @@ def _check_fields(cfg: RunConfig, params: MediumParams, ks: list[float]):
     _finite("energy variance V*c0*T0^2", lambda: equilibrium_energy_variance(params, template))
 
 
+# values computed at a time where the block size fixes no output bit: field-sample's sites
+# per block of fields and deco-scan's wavenumbers per block of rows.  Peak resident set of
+# cold runs at 2^13/2^14/2^15/2^16/2^19: field-sample of 1e5 fields x 64 sites 37.8/38.0/
+# 38.0/38.4/48.9 MiB; a CSV deco-scan of 2e5 wavenumbers 31.2/31.9/33.9/36.8 MiB, against
+# 30.4-30.9 MiB at 1e4.  Wall time is the same from 2^14 up; at 2^13 field-sample's
+# per-block calls cost ~10% more
+BLOCK_VALUES = 2 ** 14
+
+
+def _grid(cfg: RunConfig, i: np.ndarray) -> np.ndarray:
+    """The points k_min + i * dk of the uniform grid at the indices i; one that overflows
+    is +-inf.  The grid is monotone in i."""
+    with np.errstate(over="ignore"):
+        return cfg.k_min + i * cfg.dk
+
+
+def _check_wavenumbers(ks: np.ndarray) -> np.ndarray:
+    """ks, unless a k is not finite or is negative: a ConfigError naming the first
+    non-finite k, else the smallest."""
+    if not (finite := np.isfinite(ks)).all():
+        raise ConfigError(f"wavenumbers must be finite, got {ks[~finite][0]:g}")
+    if ks.size and (low := ks.min()) < 0:
+        raise ConfigError(f"wavenumbers must be non-negative, got {low:g}")
+    return ks
+
+
 def wavenumbers(cfg: RunConfig) -> list[float]:
     """The mode set: the explicit k_list, else the uniform grid k_min + i * dk, allocated in
     one step (a grid beyond memory fails at once).  A ConfigError unless every k is finite
     (a grid point that overflows is +-inf) and non-negative."""
     _check_array_size("k_count wavenumbers", cfg.k_count)
     if cfg.k_list:
-        ks = np.array(cfg.k_list, dtype=float)
-    else:
-        with np.errstate(over="ignore"):
-            ks = cfg.k_min + np.arange(cfg.k_count) * cfg.dk
-    if not (finite := np.isfinite(ks)).all():
-        raise ConfigError(f"wavenumbers must be finite, got {ks[~finite][0]:g}")
-    if ks.size and (low := ks.min()) < 0:
-        raise ConfigError(f"wavenumbers must be non-negative, got {low:g}")
-    return ks.tolist()
+        return _check_wavenumbers(np.array(cfg.k_list, dtype=float)).tolist()
+    return _check_wavenumbers(_grid(cfg, np.arange(cfg.k_count))).tolist()
+
+
+class ScanGrid:
+    """deco-scan's mode set in increasing order, made a block at a time: the sorted k_list,
+    held whole (its user sized it), or the uniform grid k_min + i * dk, never held whole,
+    from its far end where dk < 0.  A point is computed as wavenumbers computes it.  A
+    ConfigError, as wavenumbers raises it, unless every k is finite and non-negative: the
+    grid is monotone in i and its point i = 0 is k_min, so its point i = k_count - 1 is
+    non-finite if any is, and one of the two is its smallest."""
+
+    def __init__(self, cfg: RunConfig):
+        _check_array_size("k_count wavenumbers", cfg.k_count)
+        self.cfg = cfg
+        if cfg.k_list:
+            self.sorted = np.sort(_check_wavenumbers(np.array(cfg.k_list, dtype=float)))
+            self.n = self.sorted.size
+        else:
+            self.sorted, self.n = None, max(cfg.k_count, 0)
+            if self.n:
+                _check_wavenumbers(_grid(cfg, np.array([self.n - 1, 0])))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def values(self, start: int, stop: int) -> np.ndarray:
+        """The k at positions start to stop - 1 of the increasing order."""
+        if self.sorted is not None:
+            return self.sorted[start:stop]
+        if self.cfg.dk < 0:
+            return _grid(self.cfg, np.arange(self.n - 1 - start, self.n - 1 - stop, -1))
+        return _grid(self.cfg, np.arange(start, stop))
+
+    def at(self, position: int) -> float:
+        return float(self.values(position, position + 1)[0])
+
+    def blocks(self):
+        """The k in increasing order, BLOCK_VALUES at a time."""
+        for start in range(0, self.n, BLOCK_VALUES):
+            yield self.values(start, min(start + BLOCK_VALUES, self.n))
 
 
 def sim_config(cfg: RunConfig) -> SimConfig:
@@ -352,17 +419,20 @@ TRAJ_DTYPE = np.dtype([("t", float), ("delta_T", float)])
 
 
 class Table:
-    """A table written as it is made, in parts: record arrays of one dtype; len() counts rows."""
+    """A table written as it is made, in parts: record arrays of one dtype; len() counts rows.
 
-    def __init__(self, dtype: np.dtype, n_rows: int, parts):
-        self.dtype, self.n_rows, self.parts = dtype, n_rows, parts
+    ``memo``, one dict shared by the tables of a run whose first columns repeat, carries
+    the text of that column from table to table (_rows_text); None keeps no text.
+    """
+
+    def __init__(self, dtype: np.dtype, n_rows: int, parts, memo: dict | None = None):
+        self.dtype, self.n_rows, self.parts, self.memo = dtype, n_rows, parts, memo
 
     def __len__(self) -> int:
         return self.n_rows
 
 
-def write_csv(path: Path, columns: list[str], rows: Table, cfg: RunConfig, *,
-              memo: dict | None = None):
+def write_csv(path: Path, columns: list[str], rows: Table, cfg: RunConfig):
     lines = []
     for key, val in config_echo(cfg).items():
         if isinstance(val, list):
@@ -371,23 +441,22 @@ def write_csv(path: Path, columns: list[str], rows: Table, cfg: RunConfig, *,
     lines.append(",".join(columns))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(_rows_text(rows, _csv_layout, "%.17g", list, memo))  # _fmt's floats
+        fh.writelines(_rows_text(rows, _csv_layout, "%.17g", list))  # _fmt's floats
 
 
 def write_table(outdir: Path, stem: str, columns: list[str], rows: Table | np.ndarray,
-                cfg: RunConfig, *, memo: dict | None = None):
+                cfg: RunConfig):
     """Table in the configured format: CSV (default) or a JSON row list.
 
     ``rows`` is a Table or one record array, with one field per column; float fields
-    are written as numbers, other fields (bools) as _fmt writes them.  ``memo``
-    carries the text of a first column from one table to the next (_rows_text).
+    are written as numbers, other fields (bools) as _fmt writes them.
     """
     if isinstance(rows, np.ndarray):
         rows = Table(rows.dtype, len(rows), [rows])
     if cfg.format == "json":
-        write_json(outdir / f"{stem}.json", {"columns": columns, "rows": rows}, cfg, memo=memo)
+        write_json(outdir / f"{stem}.json", {"columns": columns, "rows": rows}, cfg)
     else:
-        write_csv(outdir / f"{stem}.csv", columns, rows, cfg, memo=memo)
+        write_csv(outdir / f"{stem}.csv", columns, rows, cfg)
 
 
 def _interleave(rows: np.ndarray, names, float_cells) -> tuple:
@@ -407,13 +476,13 @@ def _interleave(rows: np.ndarray, names, float_cells) -> tuple:
 BLOCK_ROWS = 2 ** 10
 
 
-def _rows_text(table: Table, layout, float_spec: str, float_cells, memo: dict | None):
+def _rows_text(table: Table, layout, float_spec: str, float_cells):
     """The text of a table's rows, BLOCK_ROWS rows of a part at a time, each block by one
     template: layout(specs, n) lays out n rows of cells from their '%' specs.
 
     A first column of floats is written into the template as text first, each other spec
     escaped as '%%' for that pass; the text of a float has no '%' of its own (float_spec and
-    float_cells write a float cell).  memo, kept by _write from table to table, maps a
+    float_cells write a float cell).  The table's memo, shared by a run's tables, maps a
     block's first row index, below langevin.CHUNK, to its key and template; a block with
     an equal key (the layout, the block's dtype and length, and the bits of its first
     column, so -0.0 is not 0.0 and a NaN matches itself) fills only its other cells.  A
@@ -423,20 +492,22 @@ def _rows_text(table: Table, layout, float_spec: str, float_cells, memo: dict | 
     lead = names[:1] if table.dtype[0].kind == "f" else ()
     specs = [float_spec if table.dtype[name].kind == "f" else "%s" for name in names]
     specs = [spec if name in lead else spec.replace("%", "%%") for name, spec in zip(names, specs)]
-    memo = {} if memo is None else memo
+    memo = table.memo
     row = 0
     for part in table.parts:
         part = part.view(np.ndarray)  # a recarray's per-block slicing and field access cost more
         for start in range(0, len(part), BLOCK_ROWS):
             block = part[start : start + BLOCK_ROWS]
-            key = (layout, block.dtype, len(block), block[lead[0]].tobytes() if lead else None)
-            kept, template = memo.get(row, (None, None))
-            if kept != key:
+            key = None if memo is None else (
+                layout, block.dtype, len(block), block[lead[0]].tobytes() if lead else None)
+            kept, template = (None, None) if key is None else memo.get(row, (None, None))
+            if key is None or kept != key:
                 template = layout(specs, len(block)) % _interleave(block, lead, float_cells)
-                if row < langevin.CHUNK:
+                if key is not None and row < langevin.CHUNK:
                     memo[row] = key, template
             yield template % _interleave(block, names[len(lead):], float_cells)
             row += len(block)
+        part = block = None  # not held while the next part is made
 
 
 def _csv_layout(specs: list[str], n: int) -> str:
@@ -453,10 +524,10 @@ def _json_layout(specs: list[str], n: int) -> str:
     return ",\n".join([item] * n)
 
 
-def _json_rows(rows: Table, memo: dict | None):
+def _json_rows(rows: Table):
     """A table as the JSON list of its rows, indented as a member of an indent-2 object."""
     sep = "[\n"
-    for text in _rows_text(rows, _json_layout, "%s", _json_floats, memo):
+    for text in _rows_text(rows, _json_layout, "%s", _json_floats):
         yield sep + text
         sep = ",\n"
     yield "[]" if sep == "[\n" else "\n  ]"
@@ -473,7 +544,7 @@ def _json_value(x):
     return x
 
 
-def write_json(path: Path, payload: dict, cfg: RunConfig, *, memo: dict | None = None):
+def write_json(path: Path, payload: dict, cfg: RunConfig):
     """payload and the config echo as json.dumps(_json_value(...), indent=2, sort_keys=True)
     writes them; a Table member (a table's rows) is written by _json_rows in the same
     bytes, not by json's pure-Python indent encoder.  Each member is written on its own."""
@@ -482,7 +553,7 @@ def write_json(path: Path, payload: dict, cfg: RunConfig, *, memo: dict | None =
         for i, (key, val) in enumerate(sorted(payload.items())):
             fh.write(("," if i else "{") + f"\n  {json.dumps(key)}: ")
             if isinstance(val, Table):
-                fh.writelines(_json_rows(val, memo))
+                fh.writelines(_json_rows(val))
             else:
                 fh.write(json.dumps(_json_value(val), indent=2, sort_keys=True,
                                     allow_nan=False).replace("\n", "\n  "))
@@ -578,10 +649,12 @@ def _trajectory_rows(chunks, dt: float):
 
 def run_simulate(cfg: RunConfig, params: MediumParams, ks: list[float]):
     n_rows = sim_config(cfg).n_steps + 1
+    memo = {}  # every trajectory table has the same t column
     summary_modes = []
     for m, k in enumerate(ks):
         gamma, n_burn, st, rate = yield from _estimate_mode(params, cfg, m, k, lambda i, chunks: [
-            (f"mode{m}_traj{i}", Table(TRAJ_DTYPE, n_rows, _trajectory_rows(chunks, cfg.dt)))])
+            (f"mode{m}_traj{i}",
+             Table(TRAJ_DTYPE, n_rows, _trajectory_rows(chunks, cfg.dt), memo))])
         entry = {
             "k": k,
             "expected_rate": gamma,
@@ -633,30 +706,38 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
     yield "fdr_report", {"tests": report, "all_pass": all_pass}
 
 
-def run_deco_scan(cfg: RunConfig, params: MediumParams, ks: list[float]):
-    rows = decoherence_scan(params, ks, cfg.amplitude, cfg.duration,
-                            n_steps=cfg.scan_steps)
-    exponents = rows["exponent"]
-    if not np.all(exponents[:-1] >= exponents[1:]):
-        raise ConsistencyViolation("exponent not strictly decreasing in k")
+def run_deco_scan(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
+    """The scan's table, made a block of the grid at a time in two passes: the first takes
+    the exponents, each block with the last k and exponent of the one before, and checks
+    that they decrease; the second writes decoherence_scan's rows."""
+    scan = {"amplitude": cfg.amplitude, "duration": cfg.duration, "n_steps": cfg.scan_steps}
+    k, exponents, tie = np.empty(0), np.empty(0), None
+    for ks in grid.blocks():
+        k = np.concatenate((k[-1:], ks))
+        exponents = np.concatenate((exponents[-1:], scan_exponents(params, ks, **scan)))
+        if not np.all(exponents[:-1] >= exponents[1:]):
+            raise ConsistencyViolation("exponent not strictly decreasing in k")
+        if tie is None and (ties := np.flatnonzero(exponents[:-1] == exponents[1:])).size:
+            tie = k[ties[0]:ties[0] + 2].tolist()
     # a repeated k repeats its exponent: the first tie is a repeat or a pair too close to tell
-    if (ties := np.flatnonzero(exponents[:-1] == exponents[1:])).size:
-        k_a, k_b = rows["k"][ties[0]:ties[0] + 2].tolist()
+    if tie is not None:
+        k_a, k_b = tie
         if k_a == k_b:
             raise ConfigError(f"duplicate wavenumber {k_a:g} in the scan")
         raise ConfigError(f"wavenumbers {k_a!r} and {k_b!r} are too close: their exponents are "
                           f"equal in double precision")
-    yield "deco_scan", rows
+    yield "deco_scan", Table(DECO_DTYPE, len(grid),
+                             (decoherence_scan(params, ks, **scan) for ks in grid.blocks()))
 
 
 def run_field_sample(cfg: RunConfig, params: MediumParams, ks: list[float]):
-    """Draw the fields from one stream in blocks of about langevin.CHUNK sites, keeping each
+    """Draw the fields from one stream in blocks of about BLOCK_VALUES sites, keeping each
     field's energy and free energy: the bytes of one whole-ensemble draw.  The per-field
     arrays come first, so an n_fields beyond memory fails at once."""
     template = lattice_template(cfg)
     stream = NoiseStream(cfg.seed)
     du, df = np.empty(cfg.n_fields), np.empty(cfg.n_fields)
-    block = max(1, langevin.CHUNK // template.n_sites)
+    block = max(1, BLOCK_VALUES // template.n_sites)
     residuals = []
     with np.errstate(over="ignore"):  # an overflowing field gives an inf estimate: gated below
         for start in range(0, cfg.n_fields, block):
@@ -701,7 +782,6 @@ def _write(cfg: RunConfig, outputs) -> int:
     Table or record array as a table, a dict as a JSON report.  Exit 1 if a report fails."""
     outdir = Path(cfg.out)
     code = EXIT_OK
-    memo = {}
     for stem, output in outputs:
         outdir.mkdir(parents=True, exist_ok=True)
         if isinstance(output, dict):
@@ -709,17 +789,18 @@ def _write(cfg: RunConfig, outputs) -> int:
             if not output.get("all_pass", True):
                 code = EXIT_STAT_FAIL
         else:
-            write_table(outdir, stem, list(output.dtype.names), output, cfg, memo=memo)
+            write_table(outdir, stem, list(output.dtype.names), output, cfg)
     return code
 
 
-# each subcommand's check(cfg, params, wavenumbers), which raises ConfigError before
-# anything runs, and run(cfg, params, wavenumbers), which yields the outputs _write writes
+# each subcommand's modes(cfg), its wavenumbers; check(cfg, params, modes), which raises
+# ConfigError before anything runs; and run(cfg, params, modes), which yields the outputs
+# _write writes
 _COMMANDS = {
-    "simulate": (_check_run, run_simulate),
-    "fdr-verify": (partial(_check_run, fdr=True), run_fdr_verify),
-    "deco-scan": (_check_scan, run_deco_scan),
-    "field-sample": (_check_fields, run_field_sample),
+    "simulate": (wavenumbers, _check_run, run_simulate),
+    "fdr-verify": (wavenumbers, partial(_check_run, fdr=True), run_fdr_verify),
+    "deco-scan": (ScanGrid, _check_scan, run_deco_scan),
+    "field-sample": (wavenumbers, _check_fields, run_field_sample),
 }
 
 
@@ -744,10 +825,10 @@ _NO_MEMORY = "run does not fit in memory: "
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        check, run = _COMMANDS[args.command]
+        modes, check, run = _COMMANDS[args.command]
         cfg = resolve_config(args)
         params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
-        ks = wavenumbers(cfg)
+        ks = modes(cfg)
         check(cfg, params, ks)
     except SystemExit:  # --help, which printed the usage
         return EXIT_OK

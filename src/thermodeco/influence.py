@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,6 +195,33 @@ def decoherence_exponent(params: MediumParams, pair: HistoryPair) -> Decoherence
                              conserved_mode_diverged=bool(diverged.any()))
 
 
+@lru_cache(maxsize=1)
+def _constant_sum_sq(amplitude: float, n_steps: int) -> float:
+    """The left-Riemann sum of squares of a difference held at amplitude over n_steps + 1
+    samples, the same at every k of a scan."""
+    difference = np.full(n_steps + 1, amplitude)
+    return _left_dot(difference, difference)
+
+
+def scan_exponents(params: MediumParams, ks: np.ndarray, amplitude: float, duration: float,
+                   n_steps: int = 100) -> np.ndarray:
+    """The exponent column of ``decoherence_scan``'s rows at the wavenumbers ks, in their order:
+    dt N_k sum_n amplitude^2 (unit mode weight), inf at k = 0.  The difference is the same
+    for every k, so its sum of squares is taken once, also over the calls of a scan made a
+    block of k at a time."""
+    if not amplitude > 0:
+        raise ValueError("amplitude must be positive")
+    if not duration > 0:
+        raise ValueError("duration must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    exponents = np.full(ks.shape, math.inf)
+    if (damped := ks != 0.0).any():  # N_k, and c0^2 in it, only where a damped mode needs it
+        exponents[damped] = _noise_functional(params, ks[damped], 1.0, duration / n_steps,
+                                              _constant_sum_sq(amplitude, n_steps))
+    return exponents
+
+
 def decoherence_scan(
     params: MediumParams,
     k_values,
@@ -205,26 +233,13 @@ def decoherence_scan(
 
     Row m is that of ``decoherence_exponent`` on the one-mode pair at the m-th
     smallest k with branch difference ``amplitude`` held over ``duration``
-    (unit mode weight): (k, exponent, magnitude, conserved_flag).  The
-    difference is the same for every k, so its sum of squares is taken once;
-    a k = 0 row is (0.0, inf, 0.0, True).
+    (unit mode weight): (k, exponent, magnitude, conserved_flag), the exponent
+    by ``scan_exponents``.  A k = 0 row is (0.0, inf, 0.0, True).
     """
-    if not amplitude > 0:
-        raise ValueError("amplitude must be positive")
-    if not duration > 0:
-        raise ValueError("duration must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    dt = duration / n_steps
-    difference = np.full(n_steps + 1, amplitude)
-    sum_sq = _left_dot(difference, difference)
     # the table first, below the temporaries: freed, they leave no holes under it in the heap
     rows = np.empty(len(k_values), dtype=DECO_DTYPE)
     rows["k"] = np.sort(np.asarray(k_values, dtype=float))
-    rows["conserved_flag"] = conserved = rows["k"] == 0.0
-    rows["exponent"] = math.inf
-    if not conserved.all():  # N_k, and c0^2 in it, only where a damped mode needs it
-        rows["exponent"][~conserved] = _noise_functional(params, rows["k"][~conserved], 1.0, dt,
-                                                         sum_sq)
-    rows["magnitude"] = [math.exp(-e) for e in rows["exponent"].tolist()]
+    rows["conserved_flag"] = rows["k"] == 0.0
+    rows["exponent"] = scan_exponents(params, rows["k"], amplitude, duration, n_steps)
+    rows["magnitude"] = np.fromiter(map(math.exp, (-rows["exponent"]).tolist()), float, len(rows))
     return rows

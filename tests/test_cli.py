@@ -41,6 +41,7 @@ from thermodeco.fieldspace import (
     sample_equilibrium_field,
     total_energy_fluctuation,
 )
+from thermodeco.influence import decoherence_scan
 from thermodeco.langevin import simulate_ensemble, simulate_mode
 from thermodeco.medium import LatticeField, MediumParams
 
@@ -200,6 +201,8 @@ UNDER_2_GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 
     # under numpy's array size limit, beyond the memory limit: each fails at its one allocation
     ["simulate", "--k-count", "1099511627776"],
     ["field-sample", "--n-fields", "1099511627776"],
+    # a scan's grid is made a block at a time: refused for its rows, at least 12 TB
+    ["deco-scan", "--k-count", "1099511627776"],
 ])
 def test_huge_size_exits_2_before_it_allocates(tmp_path, argv):
     out = tmp_path / "o"
@@ -223,24 +226,50 @@ def test_simulate_larger_than_the_free_disk_exits_2(tmp_path):
     assert not out.parent.exists()
 
 
+def test_deco_scan_larger_than_the_free_disk_exits_2(tmp_path):
+    # 2^40 rows of at least "0,0,0,true\n"; the grid is never held, so only the disk bounds it
+    out = tmp_path / "a" / "o"
+    proc = cold(["-m", "thermodeco.cli", "deco-scan", "--k-count", "1099511627776",
+                 "--out", str(out)], timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: the run writes at least {2 ** 40 * 11} bytes")
+    assert proc.stderr.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def _free(nbytes: int, seen: list):
+    """shutil.disk_usage reporting nbytes free, recording each path it is asked about."""
+    def usage(path):
+        seen.append(Path(path))
+        return SimpleNamespace(total=10 ** 12, used=0, free=nbytes)
+    return usage
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_deco_scan_needs_11_bytes_a_row_free(tmp_path, monkeypatch, fmt):
+    # 3 rows, none shorter than "0,0,0,true\n": 33 bytes
+    seen = []
+    out = tmp_path / "a" / "b"
+    argv = ["deco-scan", "--k", "0,1,2", "--format", fmt, "--out", str(out)]
+    monkeypatch.setattr(cli.shutil, "disk_usage", _free(32, seen))
+    assert main(argv) == 2 and not out.exists()
+    monkeypatch.setattr(cli.shutil, "disk_usage", _free(33, seen))
+    assert main(argv) == 0
+    assert seen == [tmp_path, tmp_path]
+    assert (out / f"deco_scan.{fmt}").stat().st_size > 33
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_simulate_needs_4_bytes_a_row_free(tmp_path, monkeypatch, fmt):
     # 2 modes x 3 trajectories x 501 rows, none shorter than "0,0\n": 12024 bytes, checked
     # against the free space of --out's nearest existing ancestor
     seen = []
-
-    def free(nbytes):
-        def usage(path):
-            seen.append(Path(path))
-            return SimpleNamespace(total=10 ** 12, used=0, free=nbytes)
-        return usage
-
     out = tmp_path / "a" / "b"
     argv = ["simulate", "--k", "1,2", "--t-end", "5", "--n-traj", "3", "--format", fmt,
             "--out", str(out)]
-    monkeypatch.setattr(cli.shutil, "disk_usage", free(12023))
+    monkeypatch.setattr(cli.shutil, "disk_usage", _free(12023, seen))
     assert main(argv) == 2 and not out.exists()
-    monkeypatch.setattr(cli.shutil, "disk_usage", free(12024))
+    monkeypatch.setattr(cli.shutil, "disk_usage", _free(12024, seen))
     assert main(argv) == 0
     assert seen == [tmp_path, tmp_path]
     assert sum(p.stat().st_size for p in out.iterdir() if p.name != "summary.json") > 12024
@@ -724,11 +753,70 @@ def test_deco_scan_unresolvable_k_exits_2(tmp_path, capsys, ks, message):
 
 
 def test_deco_scan_increasing_exponent_exits_4(tmp_path, capsys, monkeypatch):
-    rows = np.array([(1.0, 0.1, math.exp(-0.1), False), (2.0, 0.2, math.exp(-0.2), False)],
-                    dtype=DECO_DTYPE)
-    monkeypatch.setattr("thermodeco.cli.decoherence_scan", lambda *args, **kwargs: rows)
+    # exponents 0.1 and 0.2 at k = 1 and 2
+    monkeypatch.setattr("thermodeco.cli.scan_exponents", lambda params, ks, **scan: ks / 10)
     out = tmp_path / "o"
     assert main(["deco-scan", "--k", "1,2", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal consistency violation: exponent not strictly decreasing in k\n"
+    assert not out.exists()
+
+
+DECO_RUNS = [
+    ["--k-min", "0", "--dk", "0.25", "--k-count", "20"],  # the conserved row first
+    ["--k-min", "2", "--dk=-0.1", "--k-count", "20"],  # made from its far end
+    ["--k", "4,0.5,2,0,1,3.5,0.25,1.5"],  # sorted in memory
+    ["--k-count", "0"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("modes", DECO_RUNS)
+def test_deco_scan_streams_the_whole_table_bitwise(tmp_path, monkeypatch, modes, fmt):
+    # the whole table as decoherence_scan computes it at once, and written in one part
+    argv = ["deco-scan", *modes, "--format", fmt]
+    cfg = resolve_config(build_parser().parse_args(argv))
+    params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
+    whole = decoherence_scan(params, cli.wavenumbers(cfg), cfg.amplitude, cfg.duration,
+                             n_steps=cfg.scan_steps)
+    write_table(tmp_path, "whole", list(DECO_DTYPE.names), whole, cfg)
+    expected = (tmp_path / f"whole.{fmt}").read_bytes()
+    # blocks of 1, 3 and 7 wavenumbers, which cross the edges of the rows written at a time
+    for block in (1, 3, 7, cli.BLOCK_VALUES):
+        monkeypatch.setattr(cli, "BLOCK_VALUES", block)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 2)
+        out = tmp_path / str(block)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (out / f"deco_scan.{fmt}").read_bytes() == expected, block
+
+
+@pytest.mark.parametrize("modes, block, message", [
+    (["--k", "1,2,3,3,4"], 3, "duplicate wavenumber 3 in the scan"),
+    (["--k-min", "1", "--dk", "1e-17", "--k-count", "5"], 1, "duplicate wavenumber 1 in the scan"),
+    (["--k", "2,1.1969000000000003,1,1.1969"], 2,
+     "wavenumbers 1.1969 and 1.1969000000000003 are too close"),
+])
+def test_deco_scan_tie_across_a_block_edge_exits_2(tmp_path, capsys, monkeypatch, modes, block,
+                                                   message):
+    monkeypatch.setattr(cli, "BLOCK_VALUES", block)
+    out = tmp_path / "o"
+    assert main(["deco-scan", *modes, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# k = 1 to 6 in blocks of 2 or 5: the exponent rises from k = 5 to 6, inside the third block
+# of 2 and across the edge of blocks of 5; the tie of k = 1 and 2 in the first block is
+# reported only where no exponent rises
+@pytest.mark.parametrize("block", [2, 5])
+def test_deco_scan_increasing_exponent_in_a_later_block_exits_4(tmp_path, capsys, monkeypatch,
+                                                                block):
+    monkeypatch.setattr(cli, "BLOCK_VALUES", block)
+    monkeypatch.setattr("thermodeco.cli.scan_exponents",
+                        lambda params, ks, **scan: np.where(ks == 6, 1.0, 1 / np.maximum(ks, 2)))
+    out = tmp_path / "o"
+    assert main(["deco-scan", "--k", "1,2,3,4,5,6", "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err == "internal consistency violation: exponent not strictly decreasing in k\n"
     assert not out.exists()
@@ -778,7 +866,7 @@ def test_field_sample_noise_scale_fails_energy_gate(tmp_path):
 # residual, so a residual over more than the first 10 fields would show
 @pytest.mark.parametrize("chunk", [1, 3 * 64, 10 ** 6])
 def test_field_sample_streams_the_whole_ensemble_bitwise(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(langevin, "CHUNK", chunk)
+    monkeypatch.setattr(cli, "BLOCK_VALUES", chunk)
     out = tmp_path / "o"
     assert main(["field-sample", "--d", "2", "--lattice-n", "8", "--lattice-a", "0.5",
                  "--T0", "1.5", "--c0", "2", "--n-fields", "23", "--seed", "4",
@@ -795,13 +883,22 @@ def test_field_sample_streams_the_whole_ensemble_bitwise(tmp_path, monkeypatch, 
                                               for row in ensemble.values[:10])
 
 
+def test_field_sample_blocks_do_not_follow_the_history_chunk(tmp_path, monkeypatch):
+    argv = ["field-sample", "--lattice-n", "8", "--n-fields", "40", "--seed", "4"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(langevin, "CHUNK", 3 * 8)
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    summary = "field_summary.json"
+    assert (tmp_path / "b" / summary).read_bytes() == (tmp_path / "a" / summary).read_bytes()
+
+
 def test_field_sample_streams_in_bounded_memory(tmp_path):
     # 1e5 fields x 64 sites, 51 MB as one array: the ensemble and its squared and scaled
-    # copies peaked at ~135 MiB
+    # copies peaked at ~135 MiB, blocks of 2^19 sites at ~49 MiB
     proc = cold(["-c", WAIT4_PEAK, sys.executable, "-m", "thermodeco.cli", "field-sample",
                  "--lattice-n", "64", "--n-fields", "100000", "--out", str(tmp_path / "o")])
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 60
+    assert float(proc.stdout) < 44
 
 
 @pytest.mark.parametrize("fmt, bound", [("csv", 75), ("json", 85)])
@@ -817,13 +914,27 @@ def test_simulate_writes_in_bounded_memory(tmp_path, fmt, bound):
 
 def test_deco_scan_writes_in_bounded_memory(tmp_path):
     # the benchmark's 1e5-wavenumber JSON scan (9.8 MB): with the whole table's text held at
-    # once, its lead-column template, cell lists and text peaked at ~74 MiB
+    # once, its lead-column template, cell lists and text peaked at ~74 MiB; with the whole
+    # table and grid, at ~45 MiB
     proc = cold(["-c", WAIT4_PEAK, sys.executable, "-m", "thermodeco.cli", "deco-scan",
                  "--format", "json", "--k-min", "0", "--dk", "0.0001", "--k-count", "100000",
                  "--scan-steps", "1000", "--amplitude", "0.001", "--duration", "10",
                  "--out", str(tmp_path / "o")])
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 55
+    assert float(proc.stdout) < 44
+
+
+def test_deco_scan_memory_does_not_grow_with_the_grid(tmp_path):
+    # a grid, its table and the first-column memo all grew with k_count: 1e6 wavenumbers
+    # peaked at ~177 MiB
+    peaks = []
+    for n in (10 ** 4, 2 * 10 ** 5):
+        proc = cold(["-c", WAIT4_PEAK, sys.executable, "-m", "thermodeco.cli", "deco-scan",
+                     "--k-min", "0", "--dk", "0.0001", "--k-count", str(n),
+                     "--out", str(tmp_path / str(n))])
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(float(proc.stdout))
+    assert peaks[1] - peaks[0] < 2, peaks
 
 
 def test_overflowed_field_sample_prints_no_warning(tmp_path, capfd):
@@ -941,8 +1052,10 @@ def test_table_sequence_matches_per_value_text(fmt, kinds, data):
     runs = EXAMPLE_RUN if data is None else data.draw(table_runs(st.sampled_from(kinds)))
     for block in BLOCKS:
         with mock.patch.object(cli, "BLOCK_ROWS", block), tempfile.TemporaryDirectory() as tmp:
-            _write(RunConfig(format=fmt, out=tmp),
-                   ((f"t{i}", rows) for i, (_, rows, _) in enumerate(runs)))
+            memo = {}  # shared, as by the trajectory tables of a simulate run
+            _write(RunConfig(format=fmt, out=tmp), ((f"t{i}", cli.Table(rows.dtype, len(rows),
+                                                                         [rows], memo))
+                                                    for i, (_, rows, _) in enumerate(runs)))
             for i, (names, _, py_rows) in enumerate(runs):
                 text = (Path(tmp) / f"t{i}.{fmt}").read_text()
                 if fmt == "json":

@@ -2,7 +2,8 @@
 
 A simulated mode loads lfilter's compiled extension alone, on the first mode:
 scipy itself, scipy.signal and scipy.stats never load.  Commands that simulate
-nothing never touch scipy.  A cold run must write the same bytes at every
+nothing never touch scipy; deco-scan and every --help load neither
+numpy.random nor numpy.fft.  A cold run must write the same bytes at every
 --workers count.  Importing the package loads no numpy, so a command can ask
 OpenBLAS for one thread before numpy loads.
 """
@@ -131,3 +132,22 @@ def test_a_process_that_loaded_numpy_first_is_left_alone():
     probe = ("import os, numpy, thermodeco.cli; "
              "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
     assert result(start([], probe, OPENBLAS_NUM_THREADS=None)) == "None"
+
+
+# cli.main on the remaining arguments; then its exit code and which of numpy.random,
+# numpy.fft and scipy got loaded
+LOADED = ("import sys; from thermodeco.cli import main; rc = main(sys.argv[1:]); "
+          "print(rc, *(m for m in ('numpy.random', 'numpy.fft', 'scipy') if m in sys.modules))")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["field-sample", "--help"], "0"),
+    (["deco-scan", "--help"], "0"),
+    # a scan draws nothing and transforms nothing
+    (["deco-scan", "--k-min", "0", "--dk", "0.5", "--k-count", "20"], "0"),
+    (["deco-scan", "--k", "2,0,1", "--format", "json"], "0"),
+    # field-sample draws its fields and transforms them
+    (["field-sample", "--lattice-n", "8", "--n-fields", "50"], "0 numpy.random numpy.fft"),
+])
+def test_command_loads_only_the_numpy_modules_it_uses(tmp_path, argv, expected):
+    assert result(start(argv + ["--out", str(tmp_path / "o")], LOADED)) == expected
