@@ -43,16 +43,12 @@ _EXPORTS = {
         "SimConfig",
         "deterministic_decay",
         "drift_residual",
-        "simulate_ensemble",
         "simulate_mode",
         "step_euler_maruyama",
         "step_exact_ou",
     ),
     "stats": (
-        "AcfEstimate",
         "EnsembleStats",
-        "autocorrelation",
-        "fit_exponential_rate",
         "sample_variance",
         "variance_stderr_correlated",
     ),

@@ -57,7 +57,6 @@ from .langevin import (
     NoiseStream,
     SimConfig,
     _step_coefficients,
-    simulate_ensemble,  # unused here; perfbench/traced.py wraps it by this name
 )
 from .medium import (
     LatticeField,
@@ -67,13 +66,11 @@ from .medium import (
     noise_strength,
     relaxation_rate,
 )
-from .stats import (
-    StreamStats,
-    autocorrelation,  # unused here; perfbench/traced.py wraps it by this name
-    fit_exponential_rate,  # unused here; perfbench/traced.py wraps it by this name
-    sample_variance,
-    variance_stderr_correlated,
-)
+from .stats import StreamStats, sample_variance, variance_stderr_correlated
+
+# perfbench/traced.py looks these names up here to wrap them, but they name functions since
+# deleted and nothing calls them; they go when traced.py reads stage timers (ROADMAP item 1)
+autocorrelation = fit_exponential_rate = simulate_ensemble = None
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -294,8 +291,9 @@ def _check_scan(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
         raise ConfigError(f"decoherence exponent at k={k_high:g} underflows to {smallest:g}")
 
 
-def _check_fields(cfg: RunConfig, params: MediumParams, ks: list[float]):
-    """Ensemble size and overflow constraints of a lattice sample."""
+def _check_fields(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
+    """Ensemble size and overflow constraints of a lattice sample.  The grid is checked as
+    ScanGrid checks it, and never made: a lattice field holds every mode of its lattice."""
     if cfg.n_fields < 2:
         raise ConfigError("n_fields must be >= 2")
     _check_array_size("n_fields per-field values", cfg.n_fields)
@@ -350,10 +348,11 @@ def wavenumbers(cfg: RunConfig) -> list[float]:
 class ScanGrid:
     """deco-scan's mode set in increasing order, made a block at a time: the sorted k_list,
     held whole (its user sized it), or the uniform grid k_min + i * dk, never held whole,
-    from its far end where dk < 0.  A point is computed as wavenumbers computes it.  A
-    ConfigError, as wavenumbers raises it, unless every k is finite and non-negative: the
-    grid is monotone in i and its point i = 0 is k_min, so its point i = k_count - 1 is
-    non-finite if any is, and one of the two is its smallest."""
+    from its far end where dk < 0; field-sample's, checked and never made.  A point is
+    computed as wavenumbers computes it.  A ConfigError, as wavenumbers raises it, unless
+    every k is finite and non-negative: the grid is monotone in i and its point i = 0 is
+    k_min, so its point i = k_count - 1 is non-finite if any is, and one of the two is its
+    smallest."""
 
     def __init__(self, cfg: RunConfig):
         _check_array_size("k_count wavenumbers", cfg.k_count)
@@ -730,7 +729,7 @@ def run_deco_scan(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
                              (decoherence_scan(params, ks, **scan) for ks in grid.blocks()))
 
 
-def run_field_sample(cfg: RunConfig, params: MediumParams, ks: list[float]):
+def run_field_sample(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
     """Draw the fields from one stream in blocks of about BLOCK_VALUES sites, keeping each
     field's energy and free energy: the bytes of one whole-ensemble draw.  The per-field
     arrays come first, so an n_fields beyond memory fails at once."""
@@ -800,7 +799,7 @@ _COMMANDS = {
     "simulate": (wavenumbers, _check_run, run_simulate),
     "fdr-verify": (wavenumbers, partial(_check_run, fdr=True), run_fdr_verify),
     "deco-scan": (ScanGrid, _check_scan, run_deco_scan),
-    "field-sample": (wavenumbers, _check_fields, run_field_sample),
+    "field-sample": (ScanGrid, _check_fields, run_field_sample),
 }
 
 

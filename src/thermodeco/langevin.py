@@ -287,24 +287,6 @@ def simulate_mode(
     return ModeHistory(k=k, dt=cfg.dt, values=values)
 
 
-def simulate_ensemble(params: MediumParams, ks, n_traj: int, cfg: SimConfig) -> np.ndarray:
-    """Independent trajectories per wavenumber as one (len(ks), n_traj, n_steps + 1) array;
-    result[m, i] is trajectory i of mode ks[m].
-
-    Row r = m * n_traj + i of the flattened array is filled from simulate_chunks on
-    substream r, so it is bitwise simulate_mode's history on that substream, whatever
-    order the rows are drawn in.  ValueError if an entry is not finite, as from simulate_mode.
-    """
-    if n_traj < 1:
-        raise ValueError("n_traj must be at least 1")
-    out = np.empty((len(ks), n_traj, cfg.n_steps + 1))
-    for r, row in enumerate(out.reshape(-1, out.shape[-1])):
-        np.concatenate(list(simulate_chunks(params, ks[r // n_traj], cfg, substream=r)), out=row)
-    if not np.isfinite(out).all():
-        raise ValueError("history contains non-finite entries")
-    return out
-
-
 def deterministic_decay(params: MediumParams, k: float, x0: float, t: float) -> float:
     """Noise-free solution x0 e^(-gamma_k t); the zero-noise oracle for both steppers."""
     if t < 0:

@@ -1,8 +1,9 @@
 """Ensemble and time-series estimators for verifying the noise balance.
 
-Variance with error bars, normalized autocorrelation, and the decay rates
-recovered from simulated data: the lag-1 estimate -ln(rho_1)/dt, which the
-command line reports and gates, and a weighted exponential fit to the ACF.
+Variance with error bars, and the decay rate recovered from simulated data:
+the lag-1 estimate -ln(rho_1)/dt of StreamStats, which simulate reports and
+fdr-verify gates.  Every sum of products is a 1-d einsum in numpy's own loop,
+so no estimate depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .langevin import ModeHistory
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,6 @@ class EnsembleStats:
     variance: float
     stderr_variance: float
     n: int
-
-
-@dataclass(frozen=True)
-class AcfEstimate:
-    """Normalized autocorrelation values at lag times ``lags`` (multiples of dt)."""
-
-    lags: np.ndarray
-    values: np.ndarray
 
 
 def sample_variance(values) -> EnsembleStats:
@@ -113,65 +105,3 @@ class StreamStats:
         if not rho > 0.0:
             raise InsufficientDataError(f"lag-1 correlation {rho:g} is not positive: no decay rate")
         return -math.log(rho) / dt
-
-
-def autocorrelation(history: ModeHistory, max_lag: int) -> AcfEstimate:
-    """Biased (divide-by-N) normalized autocorrelation of a zero-mean history.
-
-    c(l) = (1/N) sum_n x_n x_{n+l}, normalized by c(0).  No sample-mean
-    subtraction: the process mean is zero by construction, and keeping the
-    raw moments makes a pure exponential decay its own autocorrelation.
-    The 1/N normalization keeps the estimated sequence positive
-    semidefinite at the cost of a (N-l)/N bias factor.
-
-    Lag sums come from matrix products (4x faster than a dot per lag): with x
-    as rows of B = min(max_lag, 512) samples, zero-padded, the product of the
-    rows and the rows j blocks on holds x_n x_{n+jB+c-a} at entry (a, c).  BLAS
-    computes them, so their last bits may depend on its thread count (no command calls this).
-    """
-    x = history.values
-    n = x.size
-    if not 0 <= max_lag < n:
-        raise InsufficientDataError(f"max_lag must lie in [0, {n - 1}], got {max_lag}")
-    c0 = float(np.dot(x, x)) / n
-    if c0 == 0.0:
-        raise InsufficientDataError("history is identically zero; ACF undefined")
-    block = min(max(max_lag, 1), 512)
-    m = np.concatenate((x, np.zeros(-n % block))).reshape(-1, block)
-    vals = np.zeros(max_lag + 1)
-    for j in range(min(-(-max_lag // block), len(m) - 1) + 1):
-        g = m[: len(m) - j].T @ m[j:]
-        for offset in range(1 - block, block):
-            if 0 < (lag := j * block + offset) <= max_lag:
-                vals[lag] += np.trace(g, offset)
-    vals[0] = 1.0
-    vals[1:] = vals[1:] / n / c0
-    return AcfEstimate(lags=np.arange(max_lag + 1) * history.dt, values=vals)
-
-
-# Fit window of fit_exponential_rate: the lags from 0 while the ACF stays
-# above FIT_THRESHOLD, at least MIN_FIT_LAGS of them.
-FIT_THRESHOLD = 0.1
-MIN_FIT_LAGS = 3
-
-
-def fit_exponential_rate(acf: AcfEstimate) -> float:
-    """Least-squares decay rate from the window where the ACF exceeds FIT_THRESHOLD.
-
-    Fits -log(acf) vs lag time over the contiguous window starting at lag 0
-    and returns the slope.  The fit is weighted by the ACF value: the
-    sampling noise of the ACF is roughly lag-independent, so after the log
-    transform the residual noise grows like 1/acf and small values near the
-    window edge would otherwise dominate.  Raises InsufficientDataError when
-    fewer than MIN_FIT_LAGS lags are usable.
-    """
-    above = acf.values > FIT_THRESHOLD
-    n_window = int(np.argmin(above)) if not above.all() else above.size
-    if n_window < MIN_FIT_LAGS:
-        raise InsufficientDataError(
-            f"only {n_window} lags above threshold {FIT_THRESHOLD}; need {MIN_FIT_LAGS}"
-        )
-    t = acf.lags[:n_window]
-    y = -np.log(acf.values[:n_window])
-    slope, _ = np.polyfit(t, y, 1, w=acf.values[:n_window])
-    return float(slope)

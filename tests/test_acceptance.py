@@ -14,11 +14,9 @@ from thermodeco import (
     NoiseStream,
     SimConfig,
     antisymmetry_residual,
-    autocorrelation,
     coupling_constant,
     decoherence_exponent,
     decoherence_scan,
-    fit_exponential_rate,
     free_energy_hessian,
     from_modes,
     parseval_check,
@@ -32,6 +30,8 @@ from thermodeco import (
     total_energy_fluctuation,
 )
 from thermodeco.influence import HistoryPair
+from thermodeco.langevin import simulate_chunks
+from thermodeco.stats import StreamStats
 from thermodeco.cli import main as cli_main
 
 UNIT = MediumParams(T0=1.0, c0=1.0, D0=1.0)
@@ -70,9 +70,10 @@ def test_criterion_02_rate_recovery():
     assert gamma == 1.125
     dt = 0.01
     cfg = SimConfig(dt=dt, t_end=10_000.0, seed=0, initial="sample-equilibrium")
-    hist = simulate_mode(p, 3.0, cfg)  # 1e6 steps
-    acf = autocorrelation(hist, 300)
-    fitted = fit_exponential_rate(acf)
+    stats = StreamStats()  # the lag-1 estimator fdr-verify gates
+    for chunk in simulate_chunks(p, 3.0, cfg):  # 1e6 steps
+        stats.add(chunk)
+    fitted = stats.lag1_rate(dt)
     rel = abs(fitted - gamma) / gamma
     _report(2, "rate recovery", rel <= 0.02,
             f"fitted={fitted:.5f} expected {gamma} rel_err={rel:.4f}")

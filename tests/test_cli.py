@@ -21,8 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermodeco import DECO_DTYPE, ModeHistory
-from thermodeco import cli, langevin
+from thermodeco import DECO_DTYPE, cli, langevin
 from thermodeco.cli import (
     RunConfig,
     _fmt,
@@ -42,7 +41,7 @@ from thermodeco.fieldspace import (
     total_energy_fluctuation,
 )
 from thermodeco.influence import decoherence_scan
-from thermodeco.langevin import simulate_ensemble, simulate_mode
+from thermodeco.langevin import simulate_mode
 from thermodeco.medium import LatticeField, MediumParams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -901,6 +900,19 @@ def test_field_sample_streams_in_bounded_memory(tmp_path):
     assert float(proc.stdout) < 44
 
 
+def test_field_sample_memory_does_not_grow_with_the_grid(tmp_path):
+    # a lattice sample reads no k, yet its whole grid was made and checked: 1e6 wavenumbers
+    # peaked at ~75 MiB against ~35 MiB for one
+    peaks = []
+    for n in (1, 10 ** 6):
+        proc = cold(["-c", WAIT4_PEAK, sys.executable, "-m", "thermodeco.cli", "field-sample",
+                     "--lattice-n", "8", "--n-fields", "50", "--k-count", str(n),
+                     "--out", str(tmp_path / str(n))])
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(float(proc.stdout))
+    assert peaks[1] - peaks[0] < 2, peaks
+
+
 @pytest.mark.parametrize("fmt, bound", [("csv", 75), ("json", 85)])
 def test_simulate_writes_in_bounded_memory(tmp_path, fmt, bound):
     # 1.2e6 rows, 3 chunks: with the whole trajectory, its time column, their record array
@@ -1070,16 +1082,17 @@ def test_simulate_json_tables_match_per_value_encoder(tmp_path, monkeypatch):
     cfg = resolve_config(build_parser().parse_args(argv))
     params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
     ks = [0.0, 1.5]
-    ensemble = simulate_ensemble(params, ks, 3, sim_config(cfg))
+    # trajectory i of mode m is drawn on substream m * n_traj + i
+    histories = [[simulate_mode(params, k, sim_config(cfg), substream=m * 3 + i)
+                  for i in range(3)] for m, k in enumerate(ks)]
     # 31 rows: one chunk per trajectory, then chunks of 7 rows in blocks of 3, which cross
     # the chunk edges and of which the memo keeps only those of the first chunk
     for chunk, block in [(langevin.CHUNK, cli.BLOCK_ROWS), (7, 3)]:
         monkeypatch.setattr(langevin, "CHUNK", chunk)
         monkeypatch.setattr(cli, "BLOCK_ROWS", block)
         assert main(argv + ["--out", str(tmp_path / str(chunk))]) == 0
-        for m, trajs in enumerate(ensemble):
-            for i, values in enumerate(trajs):
-                hist = ModeHistory(ks[m], cfg.dt, values)
+        for m, trajs in enumerate(histories):
+            for i, hist in enumerate(trajs):
                 rows = [list(row) for row in zip(hist.times.tolist(), hist.values.tolist())]
                 text = (tmp_path / str(chunk) / f"mode{m}_traj{i}.json").read_text()
                 assert text == per_value_json(["t", "delta_T"], rows, cfg)

@@ -15,7 +15,6 @@ from thermodeco import (
     SimConfig,
     deterministic_decay,
     drift_residual,
-    simulate_ensemble,
     simulate_mode,
     step_euler_maruyama,
     step_exact_ou,
@@ -219,17 +218,23 @@ def test_exact_stepper_composition():
     assert abs(np.var(x, ddof=1) - var_exp) <= 3 * var_exp * math.sqrt(2.0 / n)
 
 
-def test_ensemble_matches_serial_and_simulate_mode():
+def test_ensemble_matches_serial_and_simulate_mode(monkeypatch):
+    # trajectory i of mode m is substream m * n_traj + i, whatever order the trajectories
+    # are drawn in: here all eight at once, chunk by chunk in reverse order
     cfg = SimConfig(dt=0.05, t_end=2.0, seed=17, initial="sample-equilibrium")
-    ks = [1.0, 2.0]
-    ensemble = simulate_ensemble(UNIT, ks, 4, cfg)
-    assert ensemble.shape == (2, 4, cfg.n_steps + 1)
-    for m in range(2):
-        for i in range(4):
-            hist = simulate_mode(UNIT, ks[m], cfg, substream=m * 4 + i)
-            assert np.array_equal(ensemble[m, i], hist.values)
-    single = simulate_ensemble(UNIT, [1.0], 1, cfg)[0, 0]
-    assert np.array_equal(single, simulate_mode(UNIT, 1.0, cfg, substream=0).values)
+    ks, n_traj = [1.0, 2.0], 4
+    serial = [simulate_mode(UNIT, ks[r // n_traj], cfg, substream=r).values
+              for r in range(len(ks) * n_traj)]
+    monkeypatch.setattr(langevin, "CHUNK", 8)
+    streams = [langevin.simulate_chunks(UNIT, ks[r // n_traj], cfg, substream=r)
+               for r in range(len(ks) * n_traj)]
+    pieces = [[] for _ in streams]
+    for chunks in zip(*reversed(streams)):
+        for r, chunk in enumerate(reversed(chunks)):
+            pieces[r].append(chunk)
+    for r, values in enumerate(serial):
+        assert values.size == cfg.n_steps + 1
+        assert np.array_equal(np.concatenate(pieces[r]), values)
 
 
 def test_non_finite_history_raises():
@@ -237,14 +242,13 @@ def test_non_finite_history_raises():
     cfg = SimConfig(dt=1.0, t_end=2000.0, method="euler-maruyama", seed=3, initial=1.0)
     with pytest.raises(ValueError, match="non-finite"):
         simulate_mode(UNIT, 2.0, cfg)
-    with pytest.raises(ValueError, match="non-finite"):
-        simulate_ensemble(UNIT, [1.0, 2.0], 2, cfg)
 
 
 def test_ensemble_equilibrium_mean():
     cfg = SimConfig(dt=0.05, t_end=20.0, seed=8, initial="sample-equilibrium")
     n_traj = 4000
-    finals = simulate_ensemble(UNIT, [1.0], n_traj, cfg)[0, :, -1]
+    finals = np.array([simulate_mode(UNIT, 1.0, cfg, substream=i).values[-1]
+                       for i in range(n_traj)])
     assert abs(finals.mean()) <= 3 * math.sqrt(1.0 / n_traj)
 
 

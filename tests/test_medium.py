@@ -179,6 +179,42 @@ def test_no_float_power_in_sources():
         assert "float_power" not in path.read_text(), path.name
 
 
+BLAS_CALLS = {"dot", "vdot", "matmul", "inner", "tensordot"}
+
+
+def _blas_uses(source: str) -> list[str]:
+    """The matrix products, calls of a BLAS_CALLS name and uses of a linalg name in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) in BLAS_CALLS
+                                             or getattr(node.func, "attr", None) in BLAS_CALLS):
+            found.append(ast.unparse(node))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            names += [a.name for a in node.names]
+            if any("linalg" in name.split(".") for name in names):
+                found.append(ast.unparse(node))
+        elif "linalg" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_no_blas_call_in_sources():
+    # a BLAS product sums in an order its thread count sets; every sum of products in the
+    # package is a 1-d einsum in numpy's own loop, so no output's bytes depend on that count
+    probe = ("a @ b; a @= b; np.dot(a, b); dot(a, b); x.inner(y); np.linalg.norm(a); "
+             "from numpy.linalg import norm; from numpy import linalg; _dot(a, b)")
+    assert sorted(_blas_uses(probe)) == [
+        "a @ b", "a @= b", "dot(a, b)", "from numpy import linalg",
+        "from numpy.linalg import norm", "np.dot(a, b)", "np.linalg", "x.inner(y)"]
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert _blas_uses(path.read_text()) == [], path.name
+
+
 def test_only_langevin_imports_threading_and_the_package_init_loads_only_the_standard_library():
     # the one thread besides the caller's draws a history's noise one chunk ahead, in
     # langevin.simulate_chunks; no other code runs threads, so none needs a lock.  The

@@ -67,21 +67,19 @@ def test_cold_first_simulation_is_identical_across_worker_counts(tmp_path):
             assert (tmp_path / w / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
-# every name the package exported when its __init__ imported each submodule eagerly
+# every name the package exports, each loaded from its submodule on first use
 EXPORTED = {
-    "AcfEstimate", "DECO_DTYPE", "DecoherenceResult", "DimensionMismatchError",
-    "EnsembleStats", "GridMismatchError", "HistoryPair", "InfluenceValue",
-    "InsufficientDataError", "LatticeField", "METHOD_EULER", "METHOD_EXACT", "MediumParams",
-    "ModeHistory", "NoiseStream", "NonHermitianError", "SAMPLE_EQUILIBRIUM", "SimConfig",
-    "SingularModeError", "SpectralField", "antisymmetry_residual", "autocorrelation",
-    "coupling_constant", "decoherence_exponent", "decoherence_scan",
-    "deterministic_decay", "dissipation_kernel_apply", "drift_residual",
-    "equilibrium_mode_variance", "fit_exponential_rate", "free_energy_change",
-    "free_energy_hessian", "from_modes", "influence_action", "mean_free_energy",
-    "noise_kernel_amplitude", "noise_strength", "parseval_check", "relaxation_rate",
-    "sample_equilibrium_field", "sample_variance", "simulate_ensemble", "simulate_mode",
-    "static_free_energy_identity", "step_euler_maruyama", "step_exact_ou", "to_modes",
-    "total_energy_change", "total_energy_fluctuation", "variance_stderr_correlated",
+    "DECO_DTYPE", "DecoherenceResult", "DimensionMismatchError", "EnsembleStats",
+    "GridMismatchError", "HistoryPair", "InfluenceValue", "InsufficientDataError",
+    "LatticeField", "METHOD_EULER", "METHOD_EXACT", "MediumParams", "ModeHistory",
+    "NoiseStream", "NonHermitianError", "SAMPLE_EQUILIBRIUM", "SimConfig", "SingularModeError",
+    "SpectralField", "antisymmetry_residual", "coupling_constant", "decoherence_exponent",
+    "decoherence_scan", "deterministic_decay", "dissipation_kernel_apply", "drift_residual",
+    "equilibrium_mode_variance", "free_energy_change", "free_energy_hessian", "from_modes",
+    "influence_action", "mean_free_energy", "noise_kernel_amplitude", "noise_strength",
+    "parseval_check", "relaxation_rate", "sample_equilibrium_field", "sample_variance",
+    "simulate_mode", "static_free_energy_identity", "step_euler_maruyama", "step_exact_ou",
+    "to_modes", "total_energy_change", "total_energy_fluctuation", "variance_stderr_correlated",
 }
 # whether numpy and OPENBLAS_NUM_THREADS are there after `import thermodeco`; then,
 # after `from thermodeco import` the remaining arguments, whether numpy is, and the names
