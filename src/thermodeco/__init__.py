@@ -66,7 +66,6 @@ _EXPORTS = {
         "DECO_DTYPE",
         "DecoherenceResult",
         "HistoryPair",
-        "InfluenceValue",
         "antisymmetry_residual",
         "decoherence_exponent",
         "decoherence_scan",

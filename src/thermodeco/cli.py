@@ -26,7 +26,6 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import bisect
 import json
 import math
 import shutil
@@ -265,30 +264,13 @@ def _check_free_disk(cfg: RunConfig, need: int):
 
 
 def _check_scan(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
-    """A ConfigError unless the scan's settings are positive, its rows, none shorter than
-    "0,0,0,true\n", fit in the space free on --out's file system, and the exponent
-    decoherence_scan computes is a positive normal float over the scan (run_deco_scan finds
-    repeated k).
-
-    The smallest and largest positive k have the largest and smallest exponents: at
-    k_low N_k and the exponent must not overflow, at k_high the exponent must not
-    underflow.  Both are the scan's own rows at those k.  The grid is in increasing order,
-    so k_high is its last k and k_low is found by bisection, with no pass over the grid.
-    """
+    """A ConfigError unless the scan's settings are positive and its rows, none shorter than
+    "0,0,0,true\n", fit in the space free on --out's file system.  run_deco_scan's first
+    pass checks the exponents."""
     if not (cfg.amplitude > 0 and cfg.duration > 0 and cfg.scan_steps >= 1):
         raise ConfigError("amplitude and duration must be positive, scan_steps >= 1")
     _check_array_size("scan_steps + 1 branch-difference samples", cfg.scan_steps + 1)
     _check_free_disk(cfg, len(grid) * len("0,0,0,true\n"))
-    if (low := bisect.bisect_right(range(len(grid)), 0.0, key=grid.at)) == len(grid):
-        return  # no positive k
-    k_low, k_high = grid.at(low), grid.at(len(grid) - 1)
-    _finite(f"noise kernel N_k at k={k_low:g}", lambda: noise_kernel_amplitude(params, k_low))
-    with np.errstate(over="ignore"):  # an overflowing sum of squares is inf: rejected below
-        largest, smallest = decoherence_scan(params, [k_low, k_high], cfg.amplitude, cfg.duration,
-                                             n_steps=cfg.scan_steps)["exponent"].tolist()
-    _finite(f"decoherence exponent at k={k_low:g}", lambda: largest)
-    if not smallest >= sys.float_info.min:
-        raise ConfigError(f"decoherence exponent at k={k_high:g} underflows to {smallest:g}")
 
 
 def _check_fields(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
@@ -368,21 +350,16 @@ class ScanGrid:
     def __len__(self) -> int:
         return self.n
 
-    def values(self, start: int, stop: int) -> np.ndarray:
-        """The k at positions start to stop - 1 of the increasing order."""
-        if self.sorted is not None:
-            return self.sorted[start:stop]
-        if self.cfg.dk < 0:
-            return _grid(self.cfg, np.arange(self.n - 1 - start, self.n - 1 - stop, -1))
-        return _grid(self.cfg, np.arange(start, stop))
-
-    def at(self, position: int) -> float:
-        return float(self.values(position, position + 1)[0])
-
     def blocks(self):
         """The k in increasing order, BLOCK_VALUES at a time."""
         for start in range(0, self.n, BLOCK_VALUES):
-            yield self.values(start, min(start + BLOCK_VALUES, self.n))
+            stop = min(start + BLOCK_VALUES, self.n)
+            if self.sorted is not None:
+                yield self.sorted[start:stop]
+            elif self.cfg.dk < 0:
+                yield _grid(self.cfg, np.arange(self.n - 1 - start, self.n - 1 - stop, -1))
+            else:
+                yield _grid(self.cfg, np.arange(start, stop))
 
 
 def sim_config(cfg: RunConfig) -> SimConfig:
@@ -593,16 +570,14 @@ def _stderr_variance(variance: float, n: int, params: MediumParams, cfg: RunConf
     return variance_stderr_correlated(variance, n, r)
 
 
-def _z(estimate: float, expected: float, stderr: float) -> float:
-    """(estimate - expected)/stderr; inf or nan where stderr is 0 or a value is not finite."""
+def _gate(estimate: float, expected: float, stderr: float) -> tuple[float, bool]:
+    """z = (estimate - expected)/stderr, inf or nan where stderr is 0 or a value is not
+    finite, and whether |estimate - expected| <= 3 stderr, false when estimate or stderr is
+    not finite."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.float64(estimate - expected) / stderr)
-
-
-def _within_3sigma(estimate: float, expected: float, stderr: float) -> bool:
-    """The gate |estimate - expected| <= 3 stderr; false when estimate or stderr is not finite."""
-    return (math.isfinite(estimate) and math.isfinite(stderr)
-            and abs(estimate - expected) <= 3.0 * stderr)
+        z = float(np.float64(estimate - expected) / stderr)
+    return z, (math.isfinite(estimate) and math.isfinite(stderr)
+               and abs(estimate - expected) <= 3.0 * stderr)
 
 
 def _estimate_mode(params: MediumParams, cfg: RunConfig, m: int, k: float,
@@ -682,13 +657,13 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
         gamma, _, st, rate = yield from _estimate_mode(params, cfg, m, k)
         expected = equilibrium_mode_variance(params)
         stderr = _stderr_variance(expected, st.n, params, cfg, k)
-        var_pass = _within_3sigma(st.variance, expected, stderr)
+        var_z, var_pass = _gate(st.variance, expected, stderr)
         entry = {
             "k": k,
             "variance": st.variance,
             "expected_variance": expected,
             "stderr_variance": stderr,
-            "variance_z": _z(st.variance, expected, stderr),
+            "variance_z": var_z,
             "variance_pass": var_pass,
             "expected_rate": gamma,
         }
@@ -697,9 +672,9 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
         else:
             alpha, sd = _lag1(gamma, st.n, cfg.dt)
             stderr_rate = sd / (alpha * cfg.dt)  # the delta method's sd of -ln(rho_1)/dt
+            rate_z, rate_pass = _gate(rate, gamma, stderr_rate)
             entry.update({"fitted_rate": rate, "stderr_rate": stderr_rate,
-                          "rate_z": _z(rate, gamma, stderr_rate),
-                          "rate_pass": _within_3sigma(rate, gamma, stderr_rate)})
+                          "rate_z": rate_z, "rate_pass": rate_pass})
         all_pass = all_pass and var_pass and entry["rate_pass"]
         report.append(entry)
     yield "fdr_report", {"tests": report, "all_pass": all_pass}
@@ -708,16 +683,34 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
 def run_deco_scan(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
     """The scan's table, made a block of the grid at a time in two passes: the first takes
     the exponents, each block with the last k and exponent of the one before, and checks
-    that they decrease; the second writes decoherence_scan's rows."""
+    them; the second writes decoherence_scan's rows.
+
+    The smallest positive k has the largest exponent: there N_k and the exponent must not
+    overflow, checked in its block before the order.  The exponents must decrease, and the
+    last one, the smallest, must be a normal float.
+    """
     scan = {"amplitude": cfg.amplitude, "duration": cfg.duration, "n_steps": cfg.scan_steps}
-    k, exponents, tie = np.empty(0), np.empty(0), None
-    for ks in grid.blocks():
-        k = np.concatenate((k[-1:], ks))
-        exponents = np.concatenate((exponents[-1:], scan_exponents(params, ks, **scan)))
-        if not np.all(exponents[:-1] >= exponents[1:]):
-            raise ConsistencyViolation("exponent not strictly decreasing in k")
-        if tie is None and (ties := np.flatnonzero(exponents[:-1] == exponents[1:])).size:
-            tie = k[ties[0]:ties[0] + 2].tolist()
+    k, exponents, tie, k_low = np.empty(0), np.empty(0), None, None
+    # an overflow is inf and inf * 0 is nan: both rejected below, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ks in grid.blocks():
+            k = np.concatenate((k[-1:], ks))
+            # at the first damped k, N_k before the block's exponents: a c0^2 that overflows
+            # raises OverflowError there
+            if first := (k_low is None and k[-1] > 0):
+                low = int(np.searchsorted(k, 0.0, side="right"))
+                k_low = float(k[low])
+                _finite(f"noise kernel N_k at k={k_low:g}",
+                        lambda: noise_kernel_amplitude(params, k_low))
+            exponents = np.concatenate((exponents[-1:], scan_exponents(params, ks, **scan)))
+            if first:
+                _finite(f"decoherence exponent at k={k_low:g}", lambda: float(exponents[low]))
+            if not np.all(exponents[:-1] >= exponents[1:]):
+                raise ConsistencyViolation("exponent not strictly decreasing in k")
+            if tie is None and (ties := np.flatnonzero(exponents[:-1] == exponents[1:])).size:
+                tie = k[ties[0]:ties[0] + 2].tolist()
+    if k_low is not None and not (smallest := float(exponents[-1])) >= sys.float_info.min:
+        raise ConfigError(f"decoherence exponent at k={float(k[-1]):g} underflows to {smallest:g}")
     # a repeated k repeats its exponent: the first tie is a repeat or a pair too close to tell
     if tie is not None:
         k_a, k_b = tie
@@ -751,26 +744,26 @@ def run_field_sample(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
         st = sample_variance(du)
         mean_df = float(np.mean(df))
     expected = equilibrium_energy_variance(params, template)
-    du_pass = _within_3sigma(st.variance, expected, st.stderr_variance)
+    du_z, du_pass = _gate(st.variance, expected, st.stderr_variance)
     residual = max(residuals)
     parseval_pass = residual <= 1e-12
 
     expected_df = template.n_sites * params.T0 / 2.0
     # free energy of an equilibrium field is a chi^2 sum: sd = sqrt(n_sites/2) * T0
     stderr_df = math.sqrt(template.n_sites / 2.0) * params.T0 / math.sqrt(cfg.n_fields)
-    equip_pass = _within_3sigma(mean_df, expected_df, stderr_df)
+    equip_z, equip_pass = _gate(mean_df, expected_df, stderr_df)
 
     yield "field_summary", {
         "energy_variance": st.variance,
         "energy_variance_stderr": st.stderr_variance,
         "expected_energy_variance": expected,
-        "energy_variance_z": _z(st.variance, expected, st.stderr_variance),
+        "energy_variance_z": du_z,
         "energy_variance_pass": du_pass,
         "parseval_residual": residual,
         "parseval_pass": parseval_pass,
         "mean_free_energy": mean_df,
         "expected_mean_free_energy": expected_df,
-        "equipartition_z": _z(mean_df, expected_df, stderr_df),
+        "equipartition_z": equip_z,
         "equipartition_pass": equip_pass,
         "all_pass": du_pass and parseval_pass and equip_pass,
     }

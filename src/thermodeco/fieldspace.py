@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, NonHermitianError
+from .errors import NonHermitianError
 from .langevin import NoiseStream
-from .medium import LatticeField, MediumParams, free_energy_change
+from .medium import LatticeField, MediumParams, _check_dimension, free_energy_change
 from .stats import EnsembleStats, sample_variance
 
 
@@ -109,8 +109,7 @@ def sample_equilibrium_field(
     ``noise_scale`` multiplies the site variance, as it multiplies Gamma_k in
     the Langevin runs; values != 1 sample a wrong equilibrium on purpose.
     """
-    if template.d != params.d:
-        raise GridMismatchError("template dimension does not match the medium")
+    _check_dimension(params, template)
     if noise_scale < 0:
         raise ValueError("noise_scale must be non-negative")
     sigma = np.sqrt(equilibrium_site_variance(params, template) * noise_scale)
@@ -119,6 +118,7 @@ def sample_equilibrium_field(
 
 def total_energy_change(params: MediumParams, fld: LatticeField):
     """Total energy perturbation dU = c0 * sum_sites cell_volume * dT, per field."""
+    _check_dimension(params, fld)
     return params.c0 * fld.cell_volume * fld.site_sum(fld.values)
 
 

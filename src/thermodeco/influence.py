@@ -73,17 +73,6 @@ class HistoryPair:
 
 
 @dataclass(frozen=True)
-class InfluenceValue:
-    """Influence action split into dissipative (real) and noise (imaginary >= 0) parts."""
-
-    real: float
-    imag: float
-
-    def as_complex(self) -> complex:
-        return complex(self.real, self.imag)
-
-
-@dataclass(frozen=True)
 class DecoherenceResult:
     """Per-mode exponents as an (n_modes,) array, their total and the magnitude e^(-total)."""
 
@@ -124,8 +113,9 @@ def _noise_functional(params: MediumParams, ks, weights, dt: float, sum_sq):
     return weights * dt * noise_kernel_amplitude(params, ks) * sum_sq
 
 
-def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
-    """Evaluate the influence action over a history pair.
+def influence_action(params: MediumParams, pair: HistoryPair) -> complex:
+    """Evaluate the influence action over a history pair: its dissipative real part and
+    non-negative noise imaginary part.
 
     Re = 1/2 sum_k w_k sum_n dt [dT]_n A_k (D_c{dT}_n + gamma_k {dT}_n)
     Im = 1/2 sum_k w_k sum_n dt N_k [dT]_n^2                  (>= 0)
@@ -140,14 +130,13 @@ def influence_action(params: MediumParams, pair: HistoryPair) -> InfluenceValue:
     dissipation = coupling[live] * _drift_operator((pair.branch1 + pair.branch2)[live], pair.dt,
                                                    rate[live])
     re = pair.weights[live] * 0.5 * pair.dt * _left_dot(diff[live], dissipation)
-    return InfluenceValue(real=sum(re.tolist(), 0.0),
-                          imag=0.5 * decoherence_exponent(params, pair).total_exponent)
+    return complex(sum(re.tolist(), 0.0), 0.5 * decoherence_exponent(params, pair).total_exponent)
 
 
 def antisymmetry_residual(params: MediumParams, pair: HistoryPair) -> float:
     """|A[1,2] + conj(A[2,1])|; exactly zero up to round-off for any pair."""
-    a12 = influence_action(params, pair).as_complex()
-    a21 = influence_action(params, pair.swapped()).as_complex()
+    a12 = influence_action(params, pair)
+    a21 = influence_action(params, pair.swapped())
     return abs(a12 + a21.conjugate())
 
 

@@ -149,6 +149,10 @@ def test_bad_flag_exits_2(capsys):
     # c0^2 and D0 k^2 both underflow: N_k is inf, not 0/0 with a numpy warning
     ["deco-scan", "--c0", "1e-300", "--k", "1e-200"],
     ["deco-scan", "--c0", "1e-300", "--k", "1e-200,1"],
+    # no numpy warning where N_k * amplitude^2 would be inf * 0 (N_k overflows, found first) or
+    # is 0 * inf, nan (c0^2 underflows, amplitude^2 overflows)
+    ["deco-scan", "--k", "1e-200", "--amplitude", "1e-200"],
+    ["deco-scan", "--c0", "1e-300", "--amplitude", "1e200", "--k", "1"],
 ])
 # a numpy warning would be a second line of stderr
 @pytest.mark.filterwarnings("error")
@@ -745,10 +749,16 @@ def test_deco_scan_duplicate_k_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("ks, message", [
     ("1,1e200", "decoherence exponent at k=1e+200 underflows to 0"),
     ("1.1969,1.1969000000000003", "wavenumbers 1.1969 and 1.1969000000000003 are too close"),
+    # the first fault met wins: an overflow over a repeat, an underflow over a repeat
+    ("1e-200,1e-200", "noise kernel N_k at k=1e-200 overflows"),
+    ("1,1e200,1e200", "decoherence exponent at k=1e+200 underflows to 0"),
 ])
 def test_deco_scan_unresolvable_k_exits_2(tmp_path, capsys, ks, message):
-    assert main(["deco-scan", "--k", ks, "--out", str(tmp_path / "o")]) == 2
-    assert message in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["deco-scan", "--k", ks, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_deco_scan_increasing_exponent_exits_4(tmp_path, capsys, monkeypatch):
@@ -794,6 +804,10 @@ def test_deco_scan_streams_the_whole_table_bitwise(tmp_path, monkeypatch, modes,
     (["--k-min", "1", "--dk", "1e-17", "--k-count", "5"], 1, "duplicate wavenumber 1 in the scan"),
     (["--k", "2,1.1969000000000003,1,1.1969"], 2,
      "wavenumbers 1.1969 and 1.1969000000000003 are too close"),
+    # an overflow at the first damped k, in the block after the conserved mode's, wins over
+    # the tie of their exponents
+    (["--k", "0,1e-160"], 1, "noise kernel N_k at k=1e-160 overflows"),
+    (["--amplitude", "1e160", "--k", "0,1,2"], 1, "decoherence exponent at k=1 overflows"),
 ])
 def test_deco_scan_tie_across_a_block_edge_exits_2(tmp_path, capsys, monkeypatch, modes, block,
                                                    message):
@@ -1142,6 +1156,8 @@ def command_lines(draw):
           "--noise-scale=0"])
 # c0^2 and D0 k^2 underflow: N_k must be inf, not 0/0 with a warning
 @example(["deco-scan", "--c0", "1e-300", "--k", "1e-200"])
+# c0^2 overflows as a float: OverflowError, before any exponent is computed, is a config error
+@example(["deco-scan", "--c0=1e300", "--k=1"])
 def test_cli_exit_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermodeco import (
+    DimensionMismatchError,
     LatticeField,
     MediumParams,
     NoiseStream,
@@ -114,6 +115,16 @@ def test_total_energy_change_single_site():
     p = MediumParams(T0=1.0, c0=2.0, D0=1.0)
     fld = LatticeField(1, (1,), 0.5, [3.0])
     assert total_energy_change(p, fld) == 3.0  # c0 * a * dT = 2*0.5*3
+
+
+@pytest.mark.parametrize("call", [
+    total_energy_change,
+    free_energy_change,
+    lambda params, fld: sample_equilibrium_field(params, fld, NoiseStream(0)),
+], ids=["total_energy_change", "free_energy_change", "sample_equilibrium_field"])
+def test_field_of_another_dimension_than_the_medium_is_refused(call):
+    with pytest.raises(DimensionMismatchError, match="field dimension 2 != medium dimension 1"):
+        call(UNIT, LatticeField.zeros(2, (4, 4), 1.0))
 
 
 def test_energy_fluctuation_zero_ensemble():

@@ -70,8 +70,8 @@ def test_cold_first_simulation_is_identical_across_worker_counts(tmp_path):
 # every name the package exports, each loaded from its submodule on first use
 EXPORTED = {
     "DECO_DTYPE", "DecoherenceResult", "DimensionMismatchError", "EnsembleStats",
-    "GridMismatchError", "HistoryPair", "InfluenceValue", "InsufficientDataError",
-    "LatticeField", "METHOD_EULER", "METHOD_EXACT", "MediumParams", "ModeHistory",
+    "GridMismatchError", "HistoryPair", "InsufficientDataError", "LatticeField",
+    "METHOD_EULER", "METHOD_EXACT", "MediumParams", "ModeHistory",
     "NoiseStream", "NonHermitianError", "SAMPLE_EQUILIBRIUM", "SimConfig", "SingularModeError",
     "SpectralField", "antisymmetry_residual", "coupling_constant", "decoherence_exponent",
     "decoherence_scan", "deterministic_decay", "dissipation_kernel_apply", "drift_residual",
