@@ -38,7 +38,6 @@ _EXPORTS = {
         "METHOD_EULER",
         "METHOD_EXACT",
         "SAMPLE_EQUILIBRIUM",
-        "ModeHistory",
         "NoiseStream",
         "SimConfig",
         "deterministic_decay",
@@ -53,7 +52,6 @@ _EXPORTS = {
         "variance_stderr_correlated",
     ),
     "fieldspace": (
-        "SpectralField",
         "from_modes",
         "mean_free_energy",
         "parseval_check",

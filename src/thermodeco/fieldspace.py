@@ -11,80 +11,53 @@ fields, a LatticeField shaped (n, *extents), is sampled and reduced per field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NonHermitianError
+from .errors import GridMismatchError, NonHermitianError
 from .langevin import NoiseStream
 from .medium import LatticeField, MediumParams, _check_dimension, free_energy_change
 from .stats import EnsembleStats, sample_variance
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex mode amplitudes of a real lattice field.
+def to_modes(fld: LatticeField) -> np.ndarray:
+    """Forward transform of one field: the complex array, shaped like its extents, of
+    c_m = (1/N) sum_j dT(x_j) e^{-i k_m x_j}.
 
-    coefficients[m] multiplies e^{+i k_m x} with k_m = 2 pi m / L per axis
-    (numpy FFT index convention); Hermitian symmetry guarantees a real
-    inverse transform.
+    c[m] multiplies e^{+i k_m x} with k_m = 2 pi m / L per axis (numpy FFT index
+    convention); a real field's coefficients are Hermitian-symmetric.
     """
-
-    d: int
-    extents: tuple
-    coefficients: np.ndarray
-    lengths: tuple
-
-    def __post_init__(self):
-        extents = tuple(int(n) for n in np.atleast_1d(self.extents))
-        lengths = tuple(float(x) for x in np.atleast_1d(self.lengths))
-        if len(extents) != self.d or len(lengths) != self.d:
-            raise ValueError("extents and lengths must have one entry per axis")
-        coeff = np.asarray(self.coefficients, dtype=complex).reshape(extents)
-        object.__setattr__(self, "extents", extents)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "coefficients", coeff)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
-
-def to_modes(fld: LatticeField) -> SpectralField:
-    """Forward transform: c_m = (1/N) sum_j dT(x_j) e^{-i k_m x_j}, of one field."""
     if fld.values.ndim != fld.d:
         raise ValueError("to_modes transforms one field, not an ensemble")
-    coeff = np.fft.fftn(fld.values) / fld.n_sites
-    lengths = tuple(n * a for n, a in zip(fld.extents, fld.spacing))
-    return SpectralField(d=fld.d, extents=fld.extents, coefficients=coeff, lengths=lengths)
+    return np.fft.fftn(fld.values) / fld.n_sites
 
 
 IMAG_TOL = 1e-12
 
 
-def from_modes(spec: SpectralField) -> LatticeField:
-    """Inverse transform dT(x_j) = sum_m c_m e^{+i k_m x_j}.
+def from_modes(coefficients, like: LatticeField) -> LatticeField:
+    """Inverse transform dT(x_j) = sum_m c_m e^{+i k_m x_j}: a field on the lattice of
+    ``like``, whose extents the coefficient array must have.
 
     Verifies the result is real to within IMAG_TOL (relative to the field
     magnitude) before discarding the imaginary residue; raises
     NonHermitianError otherwise.
     """
-    n_total = int(np.prod(spec.extents))
-    arr = np.fft.ifftn(spec.coefficients) * n_total
+    coeff = np.asarray(coefficients, dtype=complex)
+    if coeff.shape != like.extents:
+        raise GridMismatchError(f"coefficients shaped {coeff.shape}, lattice {like.extents}")
+    arr = np.fft.ifftn(coeff) * like.n_sites
     scale = max(1.0, float(np.max(np.abs(arr.real))))
     if float(np.max(np.abs(arr.imag))) > IMAG_TOL * scale:
         raise NonHermitianError("spectrum is not Hermitian-symmetric; inverse not real")
-    spacing = tuple(length / n for n, length in zip(spec.extents, spec.lengths))
-    return LatticeField(d=spec.d, extents=spec.extents, spacing=spacing, values=arr.real)
+    return like.with_values(arr.real)
 
 
 def parseval_check(fld: LatticeField) -> float:
     """Relative mismatch between the site-sum and mode-sum quadratic norms."""
     lhs = fld.cell_volume * float(np.sum(fld.values ** 2))
-    spec = to_modes(fld)
-    c = spec.coefficients
+    c = to_modes(fld)
     # |c|^2 from products, each correctly rounded: complex abs picks its SIMD loop per CPU
-    rhs = spec.volume * float(np.sum(c.real * c.real + c.imag * c.imag))
+    rhs = fld.volume * float(np.sum(c.real * c.real + c.imag * c.imag))
     denom = max(lhs, rhs, float(np.finfo(float).tiny))
     return abs(lhs - rhs) / denom
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatchError
-from .langevin import ModeHistory, _drift_operator, drift_residual
+from .langevin import drift_residual
 from .medium import MediumParams, coupling_constant, noise_kernel_amplitude, relaxation_rate
 from .stats import _dot
 
@@ -82,16 +82,14 @@ class DecoherenceResult:
     conserved_mode_diverged: bool
 
 
-def dissipation_kernel_apply(
-    params: MediumParams, k: float, history: ModeHistory
-) -> np.ndarray:
-    """Dissipation kernel applied to a history: A_k (d/dt + gamma_k) dT_k.
+def dissipation_kernel_apply(params: MediumParams, k, x, dt: float) -> np.ndarray:
+    """Dissipation kernel applied to a history x sampled at t_n = n dt: A_k (d/dt + gamma_k) x.
 
-    Shares the discrete drift operator with the Langevin stepper module;
+    A_k times ``drift_residual``, the drift operator of the Langevin stepper module;
     annihilates the deterministic decay solution to O(dt^2) on interior
     samples.  k = 0 raises SingularModeError, as A_k diverges there.
     """
-    return coupling_constant(params, k) * drift_residual(params, k, history)
+    return coupling_constant(params, k) * drift_residual(params, k, x, dt)
 
 
 def _left_dot(a: np.ndarray, b: np.ndarray):
@@ -123,12 +121,11 @@ def influence_action(params: MediumParams, pair: HistoryPair) -> complex:
     and left-Riemann time sums.  Im is half the decoherence exponent.
     """
     coupling = coupling_constant(params, pair.ks)[:, None]  # SingularModeError at k = 0
-    rate = relaxation_rate(params, pair.ks)[:, None]
     diff = pair.branch1 - pair.branch2
     # a mode whose branches agree over the sum contributes 0, also where A_k is inf
     live = np.any(diff[:, :-1] != 0.0, axis=-1)
-    dissipation = coupling[live] * _drift_operator((pair.branch1 + pair.branch2)[live], pair.dt,
-                                                   rate[live])
+    dissipation = coupling[live] * drift_residual(params, pair.ks[live, None],
+                                                  (pair.branch1 + pair.branch2)[live], pair.dt)
     re = pair.weights[live] * 0.5 * pair.dt * _left_dot(diff[live], dissipation)
     return complex(sum(re.tolist(), 0.0), 0.5 * decoherence_exponent(params, pair).total_exponent)
 
@@ -167,13 +164,14 @@ def static_free_energy_identity(params: MediumParams, ks, weights, amps1, amps2)
 def decoherence_exponent(params: MediumParams, pair: HistoryPair) -> DecoherenceResult:
     """Per-mode exponents w_k sum_n dt N_k [dT_k]_n^2, N_k the noise kernel amplitude.
 
-    A k = 0 mode with any nonzero branch difference contributes +inf and sets the
-    conserved-mode flag (magnitude 0); one whose difference sums to 0 contributes 0.
+    A k = 0 mode whose branch difference is nonzero at a sample of the left-Riemann sum
+    (any but the last) contributes +inf and sets the conserved-mode flag (magnitude 0);
+    one whose difference is 0 at all of them contributes 0, as at k > 0.
     """
     diff = pair.branch1 - pair.branch2
     sum_sq = _left_dot(diff, diff)
     damped = pair.ks != 0.0
-    diverged = ~damped & np.any(diff != 0.0, axis=-1)
+    diverged = ~damped & np.any(diff[:, :-1] != 0.0, axis=-1)
     per_mode = np.where(diverged, math.inf, 0.0)
     live = damped & (sum_sq != 0.0)
     per_mode[live] = _noise_functional(params, pair.ks[live], pair.weights[live], pair.dt,

@@ -16,7 +16,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
@@ -67,32 +67,6 @@ class SimConfig:
     def n_steps(self) -> int:
         # tiny relative slack so t_end/dt = 2.9999999... counts as 3 steps
         return int(math.floor(self.t_end / self.dt * (1.0 + 1e-12)))
-
-
-@dataclass(frozen=True)
-class ModeHistory:
-    """Sampled trajectory of one mode amplitude on the uniform grid t_n = n dt."""
-
-    k: float
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("history contains non-finite entries")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.dt
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 class NoiseStream:
@@ -277,14 +251,18 @@ def simulate_chunks(params: MediumParams, k: float, cfg: SimConfig, substream: i
 
 def simulate_mode(
     params: MediumParams, k: float, cfg: SimConfig, substream: int = 0
-) -> ModeHistory:
+) -> np.ndarray:
     """Integrate one mode over the configured grid; bitwise deterministic.
 
-    The initial amplitude (or its equilibrium draw) consumes the first
-    sample of the substream; the n-th step consumes the (n+1)-th.
+    Returns the history as a float64 array, entry n at t_n = n dt.  The
+    initial amplitude (or its equilibrium draw) consumes the first sample of
+    the substream; the n-th step consumes the (n+1)-th.  A non-finite entry
+    raises ValueError.
     """
     values = np.concatenate(list(simulate_chunks(params, k, cfg, substream)))
-    return ModeHistory(k=k, dt=cfg.dt, values=values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("history contains non-finite entries")
+    return values
 
 
 def deterministic_decay(params: MediumParams, k: float, x0: float, t: float) -> float:
@@ -294,23 +272,22 @@ def deterministic_decay(params: MediumParams, k: float, x0: float, t: float) -> 
     return x0 * math.exp(-relaxation_rate(params, k) * t)
 
 
-def drift_residual(params: MediumParams, k: float, history: ModeHistory) -> np.ndarray:
-    """Discrete drift operator d/dt x + gamma_k x applied to a history.
+def drift_residual(params: MediumParams, k, x, dt: float) -> np.ndarray:
+    """Discrete drift operator d/dt x + gamma_k x along the last axis of the history x,
+    sampled at t_n = n dt; k is a wavenumber, or a column of them, one per row of x.
 
-    Vanishes (to O(dt^2)) on the deterministic decay solution.
+    Central differences on interior samples, one-sided at the endpoints; vanishes
+    (to O(dt^2)) on the deterministic decay solution.
     """
-    return _drift_operator(history.values, history.dt, relaxation_rate(params, k))
-
-
-def _drift_operator(x: np.ndarray, dt: float, rate) -> np.ndarray:
-    """d/dt x + rate * x along the last axis of x; rate is a scalar or a column, one per row.
-
-    Central differences on interior samples, one-sided at the endpoints.
-    """
-    if x.shape[-1] < 3:
+    x = np.asarray(x, dtype=float)
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if x.ndim == 0 or x.shape[-1] < 3:
         raise InsufficientDataError("history must have at least 3 samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("history contains non-finite entries")
     deriv = np.empty_like(x)
     deriv[..., 1:-1] = (x[..., 2:] - x[..., :-2]) / (2.0 * dt)
     deriv[..., 0] = (x[..., 1] - x[..., 0]) / dt
     deriv[..., -1] = (x[..., -1] - x[..., -2]) / dt
-    return deriv + rate * x
+    return deriv + relaxation_rate(params, k) * x

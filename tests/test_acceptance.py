@@ -57,7 +57,7 @@ def test_criterion_01_fdr_stationary_variance():
     cfg = SimConfig(dt=dt, t_end=dt * (burn + n_keep), seed=20240817,
                     initial="sample-equilibrium")
     hist = simulate_mode(UNIT, 1.0, cfg)
-    post = hist.values[burn:burn + n_keep]
+    post = hist[burn:burn + n_keep]
     var = float(np.var(post, ddof=1))
     stderr = _ou_variance_stderr(1.0, n_keep, math.exp(-2 * dt))
     _report(1, "FDR stationary variance", abs(var - 1.0) <= 3 * stderr,
@@ -201,7 +201,7 @@ def test_criterion_09_transform_integrity():
         n = int(rng.integers(2, 33))
         a = float(rng.uniform(0.1, 2.0))
         fld = LatticeField(1, (n,), a, rng.normal(size=n))
-        back = from_modes(to_modes(fld))
+        back = from_modes(to_modes(fld), fld)
         scale = max(1.0, float(np.max(np.abs(fld.values))))
         worst_rt = max(worst_rt, float(np.max(np.abs(back.values - fld.values))) / scale)
         worst_pv = max(worst_pv, parseval_check(fld))
@@ -234,7 +234,7 @@ def test_criterion_11_decoherence_from_simulated_noise():
     ok = True
     details = []
     for i, k in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
-        x = simulate_mode(UNIT, k, cfg, substream=i).values
+        x = simulate_mode(UNIT, k, cfg, substream=i)
         xi = (x[1:] - (1.0 - relaxation_rate(UNIT, k) * dt) * x[:-1]) / dt
         amplitude = 0.5 * k
         phases = coupling_constant(UNIT, k) * amplitude * dt * xi.reshape(-1, window).sum(axis=1)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from thermodeco import (
     DimensionMismatchError,
+    GridMismatchError,
     LatticeField,
     MediumParams,
     NoiseStream,
     NonHermitianError,
-    SpectralField,
     free_energy_change,
     from_modes,
     mean_free_energy,
@@ -27,26 +27,26 @@ UNIT = MediumParams(T0=1.0, c0=1.0, D0=1.0)
 
 def test_constant_field_transform():
     fld = LatticeField(1, (8,), 1.0, np.full(8, 2.5))
-    spec = to_modes(fld)
-    assert spec.coefficients[0] == pytest.approx(2.5, rel=1e-14)
-    assert np.max(np.abs(spec.coefficients[1:])) <= 1e-14
+    coeff = to_modes(fld)
+    assert coeff[0] == pytest.approx(2.5, rel=1e-14)
+    assert np.max(np.abs(coeff[1:])) <= 1e-14
 
 
 def test_nyquist_mode_transform():
     fld = LatticeField(1, (4,), 1.0, np.array([1.0, -1.0, 1.0, -1.0]))
-    spec = to_modes(fld)
+    coeff = to_modes(fld)
     expected = np.zeros(4, dtype=complex)
     expected[2] = 1.0  # Nyquist index
-    assert np.max(np.abs(spec.coefficients - expected)) <= 1e-14
+    assert np.max(np.abs(coeff - expected)) <= 1e-14
 
 
 def test_round_trip_identity():
     rng = np.random.default_rng(0)
     for _ in range(20):
         fld = LatticeField(2, (6, 4), 0.7, rng.normal(size=(6, 4)))
-        back = from_modes(to_modes(fld))
+        back = from_modes(to_modes(fld), fld)
         assert np.max(np.abs(back.values - fld.values)) <= 1e-12
-        assert np.allclose(back.spacing, fld.spacing, rtol=1e-14)
+        assert back.spacing == fld.spacing
 
 
 def test_to_modes_rejects_ensemble():
@@ -60,8 +60,7 @@ def test_from_modes_cosine():
     coeff = np.zeros(n, dtype=complex)
     coeff[1] = 0.5
     coeff[-1] = 0.5
-    spec = SpectralField(1, (n,), coeff, (float(n),))
-    fld = from_modes(spec)
+    fld = from_modes(coeff, LatticeField.zeros(1, n, 1.0))
     x = np.arange(n)
     assert np.max(np.abs(fld.values - np.cos(2 * np.pi * x / n))) <= 1e-12
 
@@ -70,7 +69,13 @@ def test_from_modes_rejects_non_hermitian():
     coeff = np.zeros(4, dtype=complex)
     coeff[1] = 1.0j  # no conjugate partner
     with pytest.raises(NonHermitianError):
-        from_modes(SpectralField(1, (4,), coeff, (4.0,)))
+        from_modes(coeff, LatticeField.zeros(1, 4, 1.0))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), (1, 4), ()])
+def test_from_modes_rejects_coefficients_shaped_unlike_the_field(shape):
+    with pytest.raises(GridMismatchError):
+        from_modes(np.zeros(shape, dtype=complex), LatticeField.zeros(1, 4, 1.0))
 
 
 def test_parseval_examples():

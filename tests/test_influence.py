@@ -11,7 +11,6 @@ from thermodeco import (
     HistoryPair,
     InsufficientDataError,
     MediumParams,
-    ModeHistory,
     SimConfig,
     SingularModeError,
     antisymmetry_residual,
@@ -68,8 +67,7 @@ def test_history_pair_rejects_bad_values(dt, b1, b2, ws, message):
 
 def test_dissipation_kernel_constant_history():
     c = 0.7
-    hist = ModeHistory(2.0, 0.1, np.full(10, c))
-    out = dissipation_kernel_apply(P243, 2.0, hist)
+    out = dissipation_kernel_apply(P243, 2.0, np.full(10, c), 0.1)
     a_k = coupling_constant(P243, 2.0)
     gamma = 0.5 * 4.0 / 4.0
     assert np.allclose(out, a_k * gamma * c, rtol=1e-14)
@@ -79,23 +77,43 @@ def test_dissipation_kernel_annihilates_decay():
     dt = 0.01
     cfg = SimConfig(dt=dt, t_end=3.0, seed=0, initial=1.0, noise_scale=0.0)
     hist = simulate_mode(UNIT, 1.0, cfg)
-    out = dissipation_kernel_apply(UNIT, 1.0, hist)
+    out = dissipation_kernel_apply(UNIT, 1.0, hist, dt)
     assert np.max(np.abs(out[1:-1])) <= 1e-4  # O(dt^2) residual
 
 
 def test_dissipation_kernel_errors():
-    hist = ModeHistory(1.0, 0.1, np.zeros(10))
     with pytest.raises(SingularModeError):
-        dissipation_kernel_apply(UNIT, 0.0, hist)
+        dissipation_kernel_apply(UNIT, 0.0, np.zeros(10), 0.1)
     with pytest.raises(InsufficientDataError):
-        dissipation_kernel_apply(UNIT, 1.0, ModeHistory(1.0, 0.1, np.zeros(2)))
+        dissipation_kernel_apply(UNIT, 1.0, np.zeros(2), 0.1)
+
+
+@pytest.mark.parametrize("apply", [drift_residual, dissipation_kernel_apply])
+@pytest.mark.parametrize("x, dt, error, message", [
+    (np.zeros(10), 0.0, ValueError, "dt must be positive"),
+    (np.zeros(10), -0.1, ValueError, "dt must be positive"),
+    (np.array([0.0, 1.0, np.nan, 0.0]), 0.1, ValueError, "non-finite"),
+    (np.array([0.0, np.inf, 0.0]), 0.1, ValueError, "non-finite"),
+    (np.zeros(2), 0.1, InsufficientDataError, "at least 3 samples"),
+], ids=["dt-zero", "dt-negative", "nan", "inf", "two-samples"])
+def test_drift_operators_reject_bad_histories(apply, x, dt, error, message):
+    with pytest.raises(error, match=message):
+        apply(UNIT, 1.0, x, dt)
+
+
+def test_drift_residual_takes_a_column_of_wavenumbers():
+    rng = np.random.default_rng(1)
+    ks, x = np.array([0.0, 0.5, 3.0]), rng.normal(size=(3, 12))
+    rows = drift_residual(P243, ks[:, None], x, 0.05)
+    for k, row, out in zip(ks, x, rows):
+        assert out.tobytes() == drift_residual(P243, k, row, 0.05).tobytes()
 
 
 def test_dissipation_kernel_shares_drift_operator():
     rng = np.random.default_rng(0)
-    hist = ModeHistory(1.7, 0.05, rng.normal(size=40))
-    out = dissipation_kernel_apply(P243, 1.7, hist)
-    drift = drift_residual(P243, 1.7, hist)
+    hist = rng.normal(size=40)
+    out = dissipation_kernel_apply(P243, 1.7, hist, 0.05)
+    drift = drift_residual(P243, 1.7, hist, 0.05)
     a_k = coupling_constant(P243, 1.7)
     assert np.max(np.abs(out / a_k - drift)) <= 1e-12
 
@@ -227,6 +245,10 @@ def test_decoherence_conserved_mode():
     # zero difference on the conserved mode contributes nothing
     res0 = decoherence_exponent(UNIT, _pair(0.0, 0.1, np.ones(5), np.ones(5)))
     assert res0.total_exponent == 0.0 and not res0.conserved_mode_diverged
+    # the left-Riemann sum reads all samples but the last, at k = 0 as at k > 0
+    for k in (0.0, 1.0):
+        res1 = decoherence_exponent(UNIT, _pair(k, 0.1, [0.0, 0.0, 0.0, 1.0], np.zeros(4)))
+        assert res1.total_exponent == 0.0 and not res1.conserved_mode_diverged
 
 
 def test_decoherence_matches_twice_noise_action():

@@ -79,12 +79,13 @@ def test_simulate_mode_zero_noise_matches_decay():
     cfg = SimConfig(dt=0.05, t_end=5.0, seed=1, initial=2.0, noise_scale=0.0)
     for method in ("exact-ou", "euler-maruyama"):
         hist = simulate_mode(UNIT, 1.0, SimConfig(**{**cfg.__dict__, "method": method}))
-        oracle = np.array([deterministic_decay(UNIT, 1.0, 2.0, t) for t in hist.times])
+        times = np.arange(hist.size) * cfg.dt
+        oracle = np.array([deterministic_decay(UNIT, 1.0, 2.0, t) for t in times])
         if method == "exact-ou":
-            assert np.max(np.abs(hist.values - oracle)) <= 1e-12
+            assert np.max(np.abs(hist - oracle)) <= 1e-12
         else:
             # Euler is O(dt): coarse bound here, convergence tested below
-            assert np.max(np.abs(hist.values - oracle)) <= 0.1
+            assert np.max(np.abs(hist - oracle)) <= 0.1
 
 
 def test_euler_zero_noise_first_order_convergence():
@@ -92,7 +93,7 @@ def test_euler_zero_noise_first_order_convergence():
     for dt in (0.02, 0.01, 0.005):
         cfg = SimConfig(dt=dt, t_end=2.0, method="euler-maruyama", seed=1, initial=1.0, noise_scale=0.0)
         hist = simulate_mode(UNIT, 1.0, cfg)
-        errs.append(abs(hist.values[-1] - deterministic_decay(UNIT, 1.0, 1.0, 2.0)))
+        errs.append(abs(hist[-1] - deterministic_decay(UNIT, 1.0, 1.0, 2.0)))
     assert 1.5 <= errs[0] / errs[1] <= 3.0
     assert 1.5 <= errs[1] / errs[2] <= 3.0
 
@@ -101,7 +102,7 @@ def test_simulate_mode_deterministic_given_seed():
     cfg = SimConfig(dt=0.01, t_end=10.0, seed=99, initial="sample-equilibrium")
     h1 = simulate_mode(UNIT, 1.0, cfg)
     h2 = simulate_mode(UNIT, 1.0, cfg)
-    assert np.array_equal(h1.values, h2.values)
+    assert np.array_equal(h1, h2)
 
 
 @pytest.mark.parametrize("method, k, initial", [
@@ -123,14 +124,14 @@ def test_simulate_mode_matches_scalar_stepping(method, k, initial):
         x = step(UNIT, k, x, cfg.dt, stream)
         vals.append(x)
     # bytes, not just ==: at k = 0 (alpha 1, scale 0) the sign of each zero is the stepper's
-    assert hist.values.tobytes() == np.array(vals).tobytes()
+    assert hist.tobytes() == np.array(vals).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 10 ** 6])
 @pytest.mark.parametrize("initial", ["sample-equilibrium", -0.0])
 def test_chunks_are_pieces_of_the_history(monkeypatch, chunk, initial):
     cfg = SimConfig(dt=0.1, t_end=20.0, seed=5, initial=initial)
-    whole = simulate_mode(UNIT, 1.0, cfg, substream=3).values
+    whole = simulate_mode(UNIT, 1.0, cfg, substream=3)
     monkeypatch.setattr(langevin, "CHUNK", chunk)
     chunks = list(langevin.simulate_chunks(UNIT, 1.0, cfg, substream=3))
     assert [c.size for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
@@ -138,7 +139,7 @@ def test_chunks_are_pieces_of_the_history(monkeypatch, chunk, initial):
     # each chunk is a new array, bitwise the piece of the whole history
     assert not any(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
     assert np.concatenate(chunks).tobytes() == whole.tobytes()
-    assert simulate_mode(UNIT, 1.0, cfg, substream=3).values.tobytes() == whole.tobytes()
+    assert simulate_mode(UNIT, 1.0, cfg, substream=3).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("chunk, threads", [(201, 0), (10 ** 6, 0), (64, 3)])
@@ -197,7 +198,7 @@ def test_linear_filter_kernel_matches_lfilter(alpha, zi, n, seed):
 def test_simulate_mode_stationary_variance():
     cfg = SimConfig(dt=0.01, t_end=1_100.0, seed=3, initial="sample-equilibrium")
     hist = simulate_mode(UNIT, 1.0, cfg)
-    post = hist.values[10_000:]  # burn-in 100/gamma
+    post = hist[10_000:]  # burn-in 100/gamma
     var = np.var(post, ddof=1)
     # effective sample size of consecutive OU squared fluctuations
     r = math.exp(-2 * 0.01)
@@ -223,7 +224,7 @@ def test_ensemble_matches_serial_and_simulate_mode(monkeypatch):
     # are drawn in: here all eight at once, chunk by chunk in reverse order
     cfg = SimConfig(dt=0.05, t_end=2.0, seed=17, initial="sample-equilibrium")
     ks, n_traj = [1.0, 2.0], 4
-    serial = [simulate_mode(UNIT, ks[r // n_traj], cfg, substream=r).values
+    serial = [simulate_mode(UNIT, ks[r // n_traj], cfg, substream=r)
               for r in range(len(ks) * n_traj)]
     monkeypatch.setattr(langevin, "CHUNK", 8)
     streams = [langevin.simulate_chunks(UNIT, ks[r // n_traj], cfg, substream=r)
@@ -247,7 +248,7 @@ def test_non_finite_history_raises():
 def test_ensemble_equilibrium_mean():
     cfg = SimConfig(dt=0.05, t_end=20.0, seed=8, initial="sample-equilibrium")
     n_traj = 4000
-    finals = np.array([simulate_mode(UNIT, 1.0, cfg, substream=i).values[-1]
+    finals = np.array([simulate_mode(UNIT, 1.0, cfg, substream=i)[-1]
                        for i in range(n_traj)])
     assert abs(finals.mean()) <= 3 * math.sqrt(1.0 / n_traj)
 
@@ -261,5 +262,5 @@ def test_deterministic_decay_examples():
 def test_drift_residual_annihilates_decay():
     dt = 0.01
     hist = simulate_mode(UNIT, 1.0, SimConfig(dt=dt, t_end=5.0, seed=0, initial=1.0, noise_scale=0.0))
-    res = drift_residual(UNIT, 1.0, hist)
+    res = drift_residual(UNIT, 1.0, hist, dt)
     assert np.max(np.abs(res[1:-1])) <= 1e-4  # O(dt^2) on interior points

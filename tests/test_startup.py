@@ -71,9 +71,9 @@ def test_cold_first_simulation_is_identical_across_worker_counts(tmp_path):
 EXPORTED = {
     "DECO_DTYPE", "DecoherenceResult", "DimensionMismatchError", "EnsembleStats",
     "GridMismatchError", "HistoryPair", "InsufficientDataError", "LatticeField",
-    "METHOD_EULER", "METHOD_EXACT", "MediumParams", "ModeHistory",
+    "METHOD_EULER", "METHOD_EXACT", "MediumParams",
     "NoiseStream", "NonHermitianError", "SAMPLE_EQUILIBRIUM", "SimConfig", "SingularModeError",
-    "SpectralField", "antisymmetry_residual", "coupling_constant", "decoherence_exponent",
+    "antisymmetry_residual", "coupling_constant", "decoherence_exponent",
     "decoherence_scan", "deterministic_decay", "dissipation_kernel_apply", "drift_residual",
     "equilibrium_mode_variance", "free_energy_change", "free_energy_hessian", "from_modes",
     "influence_action", "mean_free_energy", "noise_kernel_amplitude", "noise_strength",
