@@ -211,14 +211,15 @@ def _check_array_size(what: str, n_values: int):
         raise ConfigError(f"{what} exceed numpy's array size limit of {limit} bytes")
 
 
-def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool = False):
-    """Time-grid, overflow and stability constraints of a simulated run.
+def _check_run(cfg: RunConfig, params: MediumParams, fdr: bool = False) -> list[float]:
+    """The mode set, under the time-grid, overflow and stability constraints of a simulated run.
 
-    ``fdr`` also requires one trajectory per mode and, of every damped mode, a lag-1 rate
+    ``fdr`` also requires one trajectory per mode, a damped mode and, of each, a lag-1 rate
     fdr-verify can measure: e^(-gamma dt) below 1 and LAG1_CLEARANCE sd of its estimate above
     0, over at least MIN_GAMMA_T relaxation times after burn-in.  Without ``fdr`` (simulate)
     every row, none shorter than "0,0\n", must fit in the space free on --out's file system.
     """
+    ks = ScanGrid(cfg).points()
     if fdr and cfg.n_traj > 1:
         raise ConfigError(f"fdr-verify runs one trajectory per mode; n_traj must be 1, "
                           f"got {cfg.n_traj}")
@@ -251,6 +252,9 @@ def _check_run(cfg: RunConfig, params: MediumParams, ks: list[float], fdr: bool 
                               f"burn-in is below {MIN_GAMMA_T:g}; raise t_end")
     if not fdr:
         _check_free_disk(cfg, len(ks) * cfg.n_traj * n_samples * 4)
+    elif not any(k > 0 for k in ks):
+        raise ConfigError("fdr-verify has no damped mode to verify")
+    return ks
 
 
 def _check_free_disk(cfg: RunConfig, need: int):
@@ -263,24 +267,65 @@ def _check_free_disk(cfg: RunConfig, need: int):
                           f"bytes free at {where}")
 
 
-def _check_scan(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
-    """A ConfigError unless the scan's settings are positive and its rows, none shorter than
-    "0,0,0,true\n", fit in the space free on --out's file system.  run_deco_scan's first
-    pass checks the exponents."""
+def _check_scan(cfg: RunConfig, params: MediumParams) -> ScanGrid:
+    """The scan's grid, unless its settings are not positive, its rows, none shorter than
+    "0,0,0,true\n", do not fit in the space free on --out's file system, or its exponents
+    fail their checks.  The exponents are taken a block of the grid at a time, each block with
+    the last k and exponent of the one before.
+
+    The smallest positive k has the largest exponent: there N_k and the exponent must not
+    overflow, checked in its block before the order.  The exponents must decrease, and the
+    last one, the smallest, must be a normal float.
+    """
+    grid = ScanGrid(cfg)
     if not (cfg.amplitude > 0 and cfg.duration > 0 and cfg.scan_steps >= 1):
         raise ConfigError("amplitude and duration must be positive, scan_steps >= 1")
     _check_array_size("scan_steps + 1 branch-difference samples", cfg.scan_steps + 1)
     _check_free_disk(cfg, len(grid) * len("0,0,0,true\n"))
+    scan = {"amplitude": cfg.amplitude, "duration": cfg.duration, "n_steps": cfg.scan_steps}
+    k, exponents, tie, k_low = np.empty(0), np.empty(0), None, None
+    # an overflow is inf and inf * 0 is nan: both rejected below, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ks in grid.blocks():
+            k = np.concatenate((k[-1:], ks))
+            # at the first damped k, N_k before the block's exponents: a c0^2 that overflows
+            # raises OverflowError there
+            if first := (k_low is None and k[-1] > 0):
+                low = int(np.searchsorted(k, 0.0, side="right"))
+                k_low = float(k[low])
+                _finite(f"noise kernel N_k at k={k_low:g}",
+                        lambda: noise_kernel_amplitude(params, k_low))
+            exponents = np.concatenate((exponents[-1:], scan_exponents(params, ks, **scan)))
+            if first:
+                _finite(f"decoherence exponent at k={k_low:g}", lambda: float(exponents[low]))
+            if not np.all(exponents[:-1] >= exponents[1:]):
+                raise ConsistencyViolation("exponent not strictly decreasing in k")
+            if tie is None and (ties := np.flatnonzero(exponents[:-1] == exponents[1:])).size:
+                tie = k[ties[0]:ties[0] + 2].tolist()
+    if k_low is not None and not (smallest := float(exponents[-1])) >= sys.float_info.min:
+        raise ConfigError(f"decoherence exponent at k={float(k[-1]):g} underflows to {smallest:g}")
+    # a repeated k repeats its exponent: the first tie is a repeat or a pair too close to tell
+    if tie is not None:
+        k_a, k_b = tie
+        if k_a == k_b:
+            raise ConfigError(f"duplicate wavenumber {k_a:g} in the scan")
+        raise ConfigError(f"wavenumbers {k_a!r} and {k_b!r} are too close: their exponents are "
+                          f"equal in double precision")
+    return grid
 
 
-def _check_fields(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
-    """Ensemble size and overflow constraints of a lattice sample.  The grid is checked as
-    ScanGrid checks it, and never made: a lattice field holds every mode of its lattice."""
+def _check_fields(cfg: RunConfig, params: MediumParams):
+    """The lattice template and per-field energy and free-energy arrays of a lattice sample,
+    under its ensemble size and overflow constraints; the arrays are allocated here, so an
+    n_fields beyond memory fails at once.  The grid is checked, never made: a lattice field
+    holds every mode of its lattice."""
+    ScanGrid(cfg)
     if cfg.n_fields < 2:
         raise ConfigError("n_fields must be >= 2")
     _check_array_size("n_fields per-field values", cfg.n_fields)
     _check_array_size("lattice_n^d sites of one field", cfg.lattice_n ** cfg.d)
-    template = lattice_template(cfg)  # LatticeField checks lattice_n and lattice_a
+    # LatticeField checks lattice_n and lattice_a
+    template = LatticeField.zeros(cfg.d, (cfg.lattice_n,) * cfg.d, cfg.lattice_a)
     var = _finite("site variance T0^2/(c0*lattice_a^d)",
                   lambda: equilibrium_site_variance(params, template))
     _finite("n_sites * site variance", lambda: template.n_sites * var)
@@ -289,6 +334,7 @@ def _check_fields(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
     _finite("n_sites * site variance * noise_scale",
             lambda: template.n_sites * var * cfg.noise_scale)
     _finite("energy variance V*c0*T0^2", lambda: equilibrium_energy_variance(params, template))
+    return template, np.empty(cfg.n_fields), np.empty(cfg.n_fields)
 
 
 # values computed at a time where the block size fixes no output bit: field-sample's sites
@@ -317,41 +363,36 @@ def _check_wavenumbers(ks: np.ndarray) -> np.ndarray:
     return ks
 
 
-def wavenumbers(cfg: RunConfig) -> list[float]:
-    """The mode set: the explicit k_list, else the uniform grid k_min + i * dk, allocated in
-    one step (a grid beyond memory fails at once).  A ConfigError unless every k is finite
-    (a grid point that overflows is +-inf) and non-negative."""
-    _check_array_size("k_count wavenumbers", cfg.k_count)
-    if cfg.k_list:
-        return _check_wavenumbers(np.array(cfg.k_list, dtype=float)).tolist()
-    return _check_wavenumbers(_grid(cfg, np.arange(cfg.k_count))).tolist()
-
-
 class ScanGrid:
-    """deco-scan's mode set in increasing order, made a block at a time: the sorted k_list,
-    held whole (its user sized it), or the uniform grid k_min + i * dk, never held whole,
-    from its far end where dk < 0; field-sample's, checked and never made.  A point is
-    computed as wavenumbers computes it.  A ConfigError, as wavenumbers raises it, unless
-    every k is finite and non-negative: the grid is monotone in i and its point i = 0 is
-    k_min, so its point i = k_count - 1 is non-finite if any is, and one of the two is its
-    smallest."""
+    """The mode set: the explicit k_list, held whole (its user sized it), or the uniform grid
+    k_min + i * dk, made only when asked for.  simulate and fdr-verify take its points,
+    deco-scan its blocks, field-sample only its checks.  A ConfigError unless every k is
+    finite (a grid point that overflows is +-inf) and non-negative: the grid is monotone in i
+    and its point i = 0 is k_min, so its point i = k_count - 1 is non-finite if any is, and
+    one of the two is its smallest."""
 
     def __init__(self, cfg: RunConfig):
         _check_array_size("k_count wavenumbers", cfg.k_count)
         self.cfg = cfg
         if cfg.k_list:
-            self.sorted = np.sort(_check_wavenumbers(np.array(cfg.k_list, dtype=float)))
-            self.n = self.sorted.size
+            self.listed = _check_wavenumbers(np.array(cfg.k_list, dtype=float))
+            self.sorted, self.n = np.sort(self.listed), self.listed.size
         else:
-            self.sorted, self.n = None, max(cfg.k_count, 0)
+            self.listed, self.sorted, self.n = None, None, max(cfg.k_count, 0)
             if self.n:
                 _check_wavenumbers(_grid(cfg, np.array([self.n - 1, 0])))
+
+    def points(self) -> list[float]:
+        """The k in the given order, allocated in one step: a grid beyond memory fails at once."""
+        if self.listed is not None:
+            return self.listed.tolist()
+        return _grid(self.cfg, np.arange(self.n)).tolist()
 
     def __len__(self) -> int:
         return self.n
 
     def blocks(self):
-        """The k in increasing order, BLOCK_VALUES at a time."""
+        """The k, increasing, BLOCK_VALUES at a time; the grid from its far end if dk < 0."""
         for start in range(0, self.n, BLOCK_VALUES):
             stop = min(start + BLOCK_VALUES, self.n)
             if self.sorted is not None:
@@ -365,10 +406,6 @@ class ScanGrid:
 def sim_config(cfg: RunConfig) -> SimConfig:
     return SimConfig(dt=cfg.dt, t_end=cfg.t_end, method=cfg.method, seed=cfg.seed,
                      initial=cfg.initial, noise_scale=cfg.noise_scale)
-
-
-def lattice_template(cfg: RunConfig) -> LatticeField:
-    return LatticeField.zeros(cfg.d, (cfg.lattice_n,) * cfg.d, cfg.lattice_a)
 
 
 def _fmt(x) -> str:
@@ -681,54 +718,18 @@ def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
 
 
 def run_deco_scan(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
-    """The scan's table, made a block of the grid at a time in two passes: the first takes
-    the exponents, each block with the last k and exponent of the one before, and checks
-    them; the second writes decoherence_scan's rows.
-
-    The smallest positive k has the largest exponent: there N_k and the exponent must not
-    overflow, checked in its block before the order.  The exponents must decrease, and the
-    last one, the smallest, must be a normal float.
-    """
-    scan = {"amplitude": cfg.amplitude, "duration": cfg.duration, "n_steps": cfg.scan_steps}
-    k, exponents, tie, k_low = np.empty(0), np.empty(0), None, None
-    # an overflow is inf and inf * 0 is nan: both rejected below, with no numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ks in grid.blocks():
-            k = np.concatenate((k[-1:], ks))
-            # at the first damped k, N_k before the block's exponents: a c0^2 that overflows
-            # raises OverflowError there
-            if first := (k_low is None and k[-1] > 0):
-                low = int(np.searchsorted(k, 0.0, side="right"))
-                k_low = float(k[low])
-                _finite(f"noise kernel N_k at k={k_low:g}",
-                        lambda: noise_kernel_amplitude(params, k_low))
-            exponents = np.concatenate((exponents[-1:], scan_exponents(params, ks, **scan)))
-            if first:
-                _finite(f"decoherence exponent at k={k_low:g}", lambda: float(exponents[low]))
-            if not np.all(exponents[:-1] >= exponents[1:]):
-                raise ConsistencyViolation("exponent not strictly decreasing in k")
-            if tie is None and (ties := np.flatnonzero(exponents[:-1] == exponents[1:])).size:
-                tie = k[ties[0]:ties[0] + 2].tolist()
-    if k_low is not None and not (smallest := float(exponents[-1])) >= sys.float_info.min:
-        raise ConfigError(f"decoherence exponent at k={float(k[-1]):g} underflows to {smallest:g}")
-    # a repeated k repeats its exponent: the first tie is a repeat or a pair too close to tell
-    if tie is not None:
-        k_a, k_b = tie
-        if k_a == k_b:
-            raise ConfigError(f"duplicate wavenumber {k_a:g} in the scan")
-        raise ConfigError(f"wavenumbers {k_a!r} and {k_b!r} are too close: their exponents are "
-                          f"equal in double precision")
-    yield "deco_scan", Table(DECO_DTYPE, len(grid),
-                             (decoherence_scan(params, ks, **scan) for ks in grid.blocks()))
+    """The scan's table, decoherence_scan's rows made a block of the grid at a time."""
+    yield "deco_scan", Table(DECO_DTYPE, len(grid), (
+        decoherence_scan(params, ks, cfg.amplitude, cfg.duration, cfg.scan_steps)
+        for ks in grid.blocks()))
 
 
-def run_field_sample(cfg: RunConfig, params: MediumParams, grid: ScanGrid):
+def run_field_sample(cfg: RunConfig, params: MediumParams, sample):
     """Draw the fields from one stream in blocks of about BLOCK_VALUES sites, keeping each
-    field's energy and free energy: the bytes of one whole-ensemble draw.  The per-field
-    arrays come first, so an n_fields beyond memory fails at once."""
-    template = lattice_template(cfg)
+    field's energy and free energy in the sample's per-field arrays: the bytes of one
+    whole-ensemble draw."""
+    template, du, df = sample
     stream = NoiseStream(cfg.seed)
-    du, df = np.empty(cfg.n_fields), np.empty(cfg.n_fields)
     block = max(1, BLOCK_VALUES // template.n_sites)
     residuals = []
     with np.errstate(over="ignore"):  # an overflowing field gives an inf estimate: gated below
@@ -785,14 +786,14 @@ def _write(cfg: RunConfig, outputs) -> int:
     return code
 
 
-# each subcommand's modes(cfg), its wavenumbers; check(cfg, params, modes), which raises
-# ConfigError before anything runs; and run(cfg, params, modes), which yields the outputs
-# _write writes
+# each subcommand's check(cfg, params), which raises every ConfigError and returns what its
+# run needs; and run(cfg, params, checked), which only computes and yields the outputs _write
+# writes
 _COMMANDS = {
-    "simulate": (wavenumbers, _check_run, run_simulate),
-    "fdr-verify": (wavenumbers, partial(_check_run, fdr=True), run_fdr_verify),
-    "deco-scan": (ScanGrid, _check_scan, run_deco_scan),
-    "field-sample": (ScanGrid, _check_fields, run_field_sample),
+    "simulate": (_check_run, run_simulate),
+    "fdr-verify": (partial(_check_run, fdr=True), run_fdr_verify),
+    "deco-scan": (_check_scan, run_deco_scan),
+    "field-sample": (_check_fields, run_field_sample),
 }
 
 
@@ -817,29 +818,27 @@ _NO_MEMORY = "run does not fit in memory: "
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        modes, check, run = _COMMANDS[args.command]
+        check, run = _COMMANDS[args.command]
         cfg = resolve_config(args)
         params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
-        ks = modes(cfg)
-        check(cfg, params, ks)
+        checked = check(cfg, params)
     except SystemExit:  # --help, which printed the usage
         return EXIT_OK
     except (ConfigError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:
-        print(f"config error: {_NO_MEMORY}{exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _write(cfg, run(cfg, params, ks))
-    except ConfigError as exc:
         code, message = EXIT_CONFIG, f"config error: {exc}"
-    except OSError as exc:
-        code, message = EXIT_IO, f"i/o error: {exc}"
     except MemoryError as exc:
         code, message = EXIT_CONFIG, f"config error: {_NO_MEMORY}{exc}"
-    except (ConsistencyViolation, ValueError) as exc:  # checked configs raise no ValueError
+    except ConsistencyViolation as exc:  # deco-scan's exponents rise with k
         code, message = EXIT_INTERNAL, f"internal consistency violation: {exc}"
+    else:
+        try:
+            return _write(cfg, run(cfg, params, checked))
+        except OSError as exc:
+            code, message = EXIT_IO, f"i/o error: {exc}"
+        except MemoryError as exc:
+            code, message = EXIT_CONFIG, f"config error: {_NO_MEMORY}{exc}"
+        except ValueError as exc:  # a non-finite history; checked configs raise no other
+            code, message = EXIT_INTERNAL, f"internal consistency violation: {exc}"
     print(message, file=sys.stderr)
     return code
 

@@ -90,7 +90,7 @@ def test_bad_flag_exits_2(capsys):
     assert capsys.readouterr().out.startswith("usage: thermodeco simulate")
 
 
-@pytest.mark.parametrize("argv", [
+INVALID_RUNS = [
     ["simulate", "--k", "1", "--dt", "0"],
     ["simulate", "--k", "-1"],
     ["simulate", "--k", "inf"],
@@ -153,7 +153,13 @@ def test_bad_flag_exits_2(capsys):
     # is 0 * inf, nan (c0^2 underflows, amplitude^2 overflows)
     ["deco-scan", "--k", "1e-200", "--amplitude", "1e-200"],
     ["deco-scan", "--c0", "1e-300", "--amplitude", "1e200", "--k", "1"],
-])
+    # no damped mode: no gate to run
+    ["fdr-verify", "--k", "0"],
+    ["fdr-verify", "--k-count", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_RUNS)
 # a numpy warning would be a second line of stderr
 @pytest.mark.filterwarnings("error")
 def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
@@ -162,6 +168,44 @@ def test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", INVALID_RUNS)
+@pytest.mark.filterwarnings("error")
+def test_check_stage_raises_every_config_error(tmp_path, capsys, monkeypatch, argv):
+    # each command's run only computes and writes: every invalid config ends in its check
+    def run(*args):
+        pytest.fail(f"{argv[0]} ran a config its check passed")
+
+    monkeypatch.setattr(cli, "_COMMANDS", {name: (check, run)
+                                           for name, (check, _) in cli._COMMANDS.items()})
+    test_invalid_run_exits_2_with_one_line(tmp_path, capsys, argv)
+
+
+# k_min + i * dk over i < k_count, each point checked: the first non-finite one, else the
+# smallest negative one, is the ConfigError ScanGrid must raise from its two end points
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-1e308, 1e308), st.floats(-1e308, 1e308), st.integers(1, 50))
+@example(1.0, 1e308, 3)  # the last point overflows to inf
+@example(1.0, -1e308, 3)  # to -inf
+@example(5.0, -1.0, 8)  # negative from i = 6
+@example(-0.0, -0.0, 2)
+def test_scan_grid_end_points_check_the_whole_grid(k_min, dk, k_count):
+    cfg = RunConfig(k_min=k_min, dk=dk, k_count=k_count)
+    with np.errstate(over="ignore"):
+        ks = k_min + np.arange(k_count) * dk
+    expected = None
+    if not (finite := np.isfinite(ks)).all():
+        expected = f"wavenumbers must be finite, got {ks[~finite][0]:g}"
+    elif ks.min() < 0:
+        expected = f"wavenumbers must be non-negative, got {ks.min():g}"
+    try:
+        grid = cli.ScanGrid(cfg)
+    except cli.ConfigError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert np.array(grid.points()).tobytes() == ks.tobytes()
 
 
 # runs the remaining arguments as a command and prints its peak resident set in MiB from
@@ -786,7 +830,7 @@ def test_deco_scan_streams_the_whole_table_bitwise(tmp_path, monkeypatch, modes,
     argv = ["deco-scan", *modes, "--format", fmt]
     cfg = resolve_config(build_parser().parse_args(argv))
     params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
-    whole = decoherence_scan(params, cli.wavenumbers(cfg), cfg.amplitude, cfg.duration,
+    whole = decoherence_scan(params, cli.ScanGrid(cfg).points(), cfg.amplitude, cfg.duration,
                              n_steps=cfg.scan_steps)
     write_table(tmp_path, "whole", list(DECO_DTYPE.names), whole, cfg)
     expected = (tmp_path / f"whole.{fmt}").read_bytes()

@@ -146,6 +146,8 @@ LOADED = ("import sys; from thermodeco.cli import main; rc = main(sys.argv[1:]);
     (["deco-scan", "--k", "2,0,1", "--format", "json"], "0"),
     # field-sample draws its fields and transforms them
     (["field-sample", "--lattice-n", "8", "--n-fields", "50"], "0 numpy.random numpy.fft"),
+    (["simulate", "--help"], "0"),
+    (["fdr-verify", "--help"], "0"),
 ])
 def test_command_loads_only_the_numpy_modules_it_uses(tmp_path, argv, expected):
     assert result(start(argv + ["--out", str(tmp_path / "o")], LOADED)) == expected
