@@ -78,8 +78,8 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 # Largest --workers accepted.  --workers changes nothing: the one thread a command may add
-# draws a long history's noise ahead (langevin.simulate_chunks).  perfbench's simulate-csv
-# passes it.
+# runs fdr-verify's next mode, or draws a long history's noise a chunk ahead
+# (langevin.simulate_chunks).  perfbench's simulate-csv passes it.
 MAX_WORKERS = 256
 
 
@@ -617,24 +617,25 @@ def _gate(estimate: float, expected: float, stderr: float) -> tuple[float, bool]
                and abs(estimate - expected) <= 3.0 * stderr)
 
 
-def _estimate_mode(params: MediumParams, cfg: RunConfig, m: int, k: float,
-                   trajectory=lambda i, chunks: ()):
+def _estimate_mode(params: MediumParams, cfg: RunConfig, m: int, k: float, trajectory,
+                   ahead: bool = True):
     """Yield what trajectory(i, chunks) yields for each trajectory i of mode m, given the
-    (start index, chunk)s of langevin.simulate_chunks on substream m * n_traj + i, each chunk
-    fed to one estimator once it is read (the rest after), which overwrites it: trajectory is
-    done with a chunk when it asks for the next.  Return gamma_k, the burn-in steps, the pooled
-    post-burn-in moments (None below 2), trajectory 0's lag-1 rate or its error."""
+    (start index, chunk)s of langevin.simulate_chunks(..., ahead) on substream m * n_traj + i,
+    each chunk fed to one estimator once it is read (the rest after), which overwrites it:
+    trajectory is done with a chunk when it asks for the next.  Return gamma_k, the burn-in
+    steps, the pooled post-burn-in moments (None below 2), trajectory 0's lag-1 rate or its
+    error."""
     gamma = relaxation_rate(params, k)
     n_burn = _burn_in_steps(cfg, gamma)
     stats = StreamStats()
 
     def fed(i: int):
         start = 0
-        for chunk in langevin.simulate_chunks(params, k, sim_config(cfg), m * cfg.n_traj + i):
+        for chunk in langevin.simulate_chunks(params, k, sim_config(cfg), m * cfg.n_traj + i,
+                                              ahead):
             yield start, chunk
             stats.add(chunk[max(n_burn - start, 0):], lags=i == 0)  # overwrites the chunk
             start += chunk.size
-            del chunk  # before the next chunk is filtered: three chunk-sized arrays stay live
 
     for i in range(cfg.n_traj):
         chunks = fed(i)
@@ -655,7 +656,6 @@ def _trajectory_rows(chunks, dt: float):
             values = chunk[j : j + BLOCK_ROWS]
             yield np.rec.fromarrays([np.arange(start + j, start + j + values.size) * dt, values],
                                     dtype=TRAJ_DTYPE)
-        del chunk, values  # before the next chunk is filtered, as in _estimate_mode
 
 
 def run_simulate(cfg: RunConfig, params: MediumParams, ks: list[float]):
@@ -683,15 +683,60 @@ def run_simulate(cfg: RunConfig, params: MediumParams, ks: list[float]):
     yield "summary", {"modes": summary_modes}
 
 
+class _Stopped(Exception):
+    """Raised in a mode that its pair's failure stopped; never reported."""
+
+
+def _fdr_estimate(params: MediumParams, cfg: RunConfig, m: int, k: float, ahead: bool = True,
+                  stop: list | tuple = ()):
+    """_estimate_mode's return for fdr-verify's mode m: one trajectory (n_traj is 1), drawn as
+    simulate draws it, which yields no output.  _Stopped at the first chunk boundary at which
+    stop is not empty."""
+
+    def until_stopped(i, chunks):
+        for _ in chunks:
+            if stop:
+                raise _Stopped
+        return ()
+
+    estimate = _estimate_mode(params, cfg, m, k, until_stopped, ahead)
+    try:
+        next(estimate)
+    except StopIteration as done:
+        return done.value
+
+
+def _paired_estimates(params: MediumParams, cfg: RunConfig, modes: list[tuple[int, float]]):
+    """Yield _fdr_estimate of each (m, k) of modes, in order, taken two at a time: the first
+    on this thread and the second on a langevin._Ahead thread, neither drawing ahead; a last
+    unpaired mode draws ahead.  So at most one thread runs besides this one, and every byte
+    is what the modes run in turn give.  A failure ends the run as it would end them in turn:
+    if the first fails, or this thread is interrupted, the second stops at its next chunk
+    boundary and is joined before the first's error is raised; if the second fails, the
+    first still runs to the end, and its error is raised if it has one."""
+    for j in range(0, len(modes) - 1, 2):
+        stop = []  # appended to on this thread, read on the other: a list op is atomic
+        second = langevin._Ahead(partial(_fdr_estimate, params, cfg, *modes[j + 1], False, stop))
+        try:
+            pair = _fdr_estimate(params, cfg, *modes[j], False), second.result()
+        except BaseException:
+            stop.append(True)
+            second.join()
+            raise
+        yield from pair
+    if len(modes) % 2:
+        yield _fdr_estimate(params, cfg, *modes[-1])
+
+
 def run_fdr_verify(cfg: RunConfig, params: MediumParams, ks: list[float]):
     report = []
     all_pass = True
+    estimates = _paired_estimates(params, cfg, [(m, k) for m, k in enumerate(ks) if k != 0.0])
     for m, k in enumerate(ks):
         if k == 0.0:
             report.append({"k": 0.0, "skipped": "conserved mode (zero rate, zero noise)"})
             continue
-        # one trajectory (n_traj is 1), drawn as simulate draws it; it yields no output
-        gamma, _, st, rate = yield from _estimate_mode(params, cfg, m, k)
+        gamma, _, st, rate = next(estimates)
         expected = equilibrium_mode_variance(params)
         stderr = _stderr_variance(expected, st.n, params, cfg, k)
         var_z, var_pass = _gate(st.variance, expected, stderr)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -471,10 +472,10 @@ def test_fdr_verify_holds_a_few_chunks_per_mode(tmp_path, monkeypatch):
     assert (peak - base) / (8 * langevin.CHUNK) < 8
 
 
-def test_fdr_verify_keeps_three_chunk_arrays_live(tmp_path, monkeypatch):
-    # the two noise buffers, one of them drawn ahead on the worker thread, and the filtered
-    # chunk being reduced, its deviations formed in place.  A fourth array, such as the
-    # previous chunk still referenced while the next is filtered, would be 4.5 chunks
+def test_fdr_verify_keeps_two_chunk_buffers_live(tmp_path, monkeypatch):
+    # the two noise buffers, each filtered in place: the chunk being reduced, its deviations
+    # formed in place, and the next one drawn ahead on the worker thread.  A third chunk-sized
+    # array, such as a filtered copy of the chunk, would be 3.5 chunks
     monkeypatch.setattr(langevin, "CHUNK", 16384)
     argv = ["fdr-verify", "--k", "1", "--t-end", "2000", "--out", str(tmp_path / "o")]
     main(argv)  # imports and first-use set-up, not counted below
@@ -486,7 +487,7 @@ def test_fdr_verify_keeps_three_chunk_arrays_live(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert rc in (0, 1)
-    assert (peak - base) / (8 * langevin.CHUNK) < 4
+    assert (peak - base) / (8 * langevin.CHUNK) < 3
 
 
 @pytest.mark.parametrize("fault, code, message", [
@@ -524,30 +525,130 @@ def test_fdr_verify_stream_failure_ends_the_run(tmp_path, capsys, monkeypatch, f
     assert not (tmp_path / "o").exists()
 
 
+def _main_on_a_thread(argv):
+    """main(argv) on a thread of its own, joined within 60 s; its exit code and the threads
+    still alive that were not alive before it."""
+    before = set(threading.enumerate())
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(main(argv)))
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    return codes, set(threading.enumerate()) - before
+
+
+# 40001 samples a mode, in 10 chunks of 4096: draws x0, then chunks 0 to 9
+FAILING_RUN = ["fdr-verify", "--t-end", "400"]
+DRAWS_PER_MODE = 11
+
+
 def test_fdr_verify_noise_failure_on_the_worker_thread_ends_the_run(tmp_path, capsys,
                                                                     monkeypatch):
     monkeypatch.setattr(langevin, "CHUNK", 4096)
-    normal, callers = langevin.NoiseStream.normal, []
+    normal = langevin.NoiseStream.normal
+    # chunk 1 fails: of the one mode, drawn ahead on the worker thread; of mode 1, on the pair
+    # thread, while mode 0 runs on the caller's
+    for failing_mode, ks in enumerate(["1", "1,2"]):
+        callers = {}
 
-    def failing(self, *args, **kwargs):  # the third draw, chunk 1 or 2, fails
-        callers.append(threading.current_thread())
-        if len(callers) == 3:
-            raise MemoryError("no room for the noise")
+        def failing(self, *args, **kwargs):  # the third draw of the failing mode: chunk 1
+            drawers = callers.setdefault(self.substream, [])
+            drawers.append(threading.current_thread())
+            if self.substream == failing_mode and len(drawers) == 3:
+                raise MemoryError("no room for the noise")
+            return normal(self, *args, **kwargs)
+
+        monkeypatch.setattr(langevin.NoiseStream, "normal", failing)
+        out = tmp_path / ks
+        codes, left = _main_on_a_thread([*FAILING_RUN, "--k", ks, "--out", str(out)])
+        assert codes == [2] and not left
+        assert callers[failing_mode][2] is not callers[0][0]
+        # the pair thread's failure lets the caller's mode run to its end, as in turn
+        assert len(callers[0]) == (DRAWS_PER_MODE if failing_mode else 3)
+        err = capsys.readouterr().err
+        assert err == "config error: run does not fit in memory: no room for the noise\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError("no room for mode 0"), KeyboardInterrupt()])
+def test_fdr_verify_failure_on_the_callers_thread_stops_the_pair_thread(tmp_path, capsys,
+                                                                       monkeypatch, error):
+    monkeypatch.setattr(langevin, "CHUNK", 4096)
+    normal, callers = langevin.NoiseStream.normal, {}
+    running, failed = threading.Event(), threading.Event()
+
+    def failing(self, *args, **kwargs):
+        drawers = callers.setdefault(self.substream, [])
+        drawers.append(threading.current_thread())
+        if self.substream == 0 and len(drawers) == 3:  # mode 0's chunk 1, once mode 1 runs
+            assert running.wait(timeout=30)
+            failed.set()
+            raise error
+        if self.substream == 1 and len(drawers) == 2:  # mode 1's chunk 0, drawn on past it
+            running.set()
+            assert failed.wait(timeout=30)
+            time.sleep(0.2)  # a run that did not join mode 1 would end first
+        elif self.substream == 1 and len(drawers) > 2:  # the rest would take 0.1 s
+            time.sleep(0.01)
         return normal(self, *args, **kwargs)
 
     monkeypatch.setattr(langevin.NoiseStream, "normal", failing)
     before = set(threading.enumerate())
-    codes = []
-    runner = threading.Thread(target=lambda: codes.append(main(
-        ["fdr-verify", "--k", "1,2", "--t-end", "400", "--out", str(tmp_path / "o")])))
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive() and codes == [2]
-    assert callers[0] is runner and callers[2] is not runner
-    err = capsys.readouterr().err
-    assert err == "config error: run does not fit in memory: no room for the noise\n"
+    argv = [*FAILING_RUN, "--k", "1,2", "--out", str(tmp_path / "o")]
+    if isinstance(error, KeyboardInterrupt):  # the caller interrupted, as by Ctrl-C
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert capsys.readouterr().err == ""
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: run does not fit in memory: {error}\n"
     assert set(threading.enumerate()) <= before
+    assert callers[1][0] is not callers[0][0]
+    # mode 1 stopped at a chunk boundary, not at its end
+    assert 2 <= len(callers[1]) < DRAWS_PER_MODE
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("ks", ["1", "1,0,2", "1,0,2,3", "1,2,0,3,4,5"])
+def test_fdr_verify_pairs_move_no_byte(tmp_path, monkeypatch, ks):
+    # one run as shipped, one with every langevin._Ahead run on the caller's thread in
+    # result(): that run takes the modes in turn
+    monkeypatch.setattr(langevin, "CHUNK", 4096)
+    argv = ["fdr-verify", "--k", ks, "--t-end", "200", "--seed", "3", "--out"]
+    assert main([*argv, str(tmp_path / "paired")]) in (0, 1)
+
+    class InTurn:
+        def __init__(self, work):
+            self._work = work
+
+        def result(self):
+            return self._work()
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(langevin, "_Ahead", InTurn)
+    assert main([*argv, str(tmp_path / "in_turn")]) in (0, 1)
+    paired, in_turn = (tmp_path / d / "fdr_report.json" for d in ("paired", "in_turn"))
+    assert paired.read_bytes() == in_turn.read_bytes()
+
+
+def test_fdr_verify_runs_one_thread_at_a_time(tmp_path, monkeypatch):
+    # a pair of modes, then a last mode drawing ahead: each started thread finds no other
+    # started thread alive
+    monkeypatch.setattr(langevin, "CHUNK", 4096)
+    started, overlaps, start = [], [], threading.Thread.start
+
+    def counted(thread):
+        overlaps.append(sum(t.is_alive() for t in started))
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    rc = main(["fdr-verify", "--k", "1,2,3", "--t-end", "200", "--out", str(tmp_path / "o")])
+    assert rc in (0, 1)
+    assert len(started) > 1 and set(overlaps) == {0}
+    assert not any(t.is_alive() for t in started)
 
 
 def test_fdr_verify_reports_a_non_positive_lag1_correlation(tmp_path, capsys, monkeypatch):

@@ -133,12 +133,17 @@ def test_chunks_are_pieces_of_the_history(monkeypatch, chunk, initial):
     cfg = SimConfig(dt=0.1, t_end=20.0, seed=5, initial=initial)
     whole = simulate_mode(UNIT, 1.0, cfg, substream=3)
     monkeypatch.setattr(langevin, "CHUNK", chunk)
-    chunks = list(langevin.simulate_chunks(UNIT, 1.0, cfg, substream=3))
-    assert [c.size for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
-    assert 1 <= chunks[-1].size <= chunk
-    # each chunk is a new array, bitwise the piece of the whole history
-    assert not any(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
-    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    for ahead in (True, False):
+        chunks, buffers = [], set()
+        for c in langevin.simulate_chunks(UNIT, 1.0, cfg, substream=3, ahead=ahead):
+            # a chunk is its noise buffer, valid until the next chunk is asked for: copied
+            buffers.add(c.__array_interface__["data"][0])
+            chunks.append(c.copy())
+        assert [c.size for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert 1 <= chunks[-1].size <= chunk
+        # two buffers drawn in turn with ahead, one without; bitwise the pieces of the history
+        assert len(buffers) == (2 if ahead and len(chunks) > 1 else 1)
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
     assert simulate_mode(UNIT, 1.0, cfg, substream=3).tobytes() == whole.tobytes()
 
 
@@ -155,6 +160,33 @@ def test_each_chunk_after_the_first_is_drawn_on_a_joined_thread(monkeypatch, chu
     monkeypatch.setattr(threading.Thread, "start", recorded)
     assert len(list(langevin.simulate_chunks(UNIT, 1.0, cfg))) == threads + 1
     assert len(started) == threads and not any(t.is_alive() for t in started)
+
+
+def test_threads_that_ask_for_the_filter_kernel_at_once_load_it_once(monkeypatch):
+    # fdr-verify's two modes may both ask first; a slow load leaves each thread time to
+    # find no kernel yet, unless the check and the load are one step
+    module_from_spec, loads = langevin.module_from_spec, []
+
+    def slow(spec):
+        loads.append(spec)
+        time.sleep(0.05)
+        return module_from_spec(spec)
+
+    monkeypatch.setattr(langevin, "_kernel", None)
+    monkeypatch.setattr(langevin, "module_from_spec", slow)
+    kernels, ready = [], threading.Barrier(8)
+
+    def ask():
+        ready.wait(timeout=30)
+        kernels.append(_linear_filter())
+
+    threads = [threading.Thread(target=ask) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert len(kernels) == 8 and len(loads) == 1
 
 
 def test_a_closed_history_joins_its_worker(monkeypatch):
@@ -232,7 +264,7 @@ def test_ensemble_matches_serial_and_simulate_mode(monkeypatch):
     pieces = [[] for _ in streams]
     for chunks in zip(*reversed(streams)):
         for r, chunk in enumerate(reversed(chunks)):
-            pieces[r].append(chunk)
+            pieces[r].append(chunk.copy())  # before its history's next chunk overwrites it
     for r, values in enumerate(serial):
         assert values.size == cfg.n_steps + 1
         assert np.array_equal(np.concatenate(pieces[r]), values)

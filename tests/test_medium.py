@@ -216,8 +216,9 @@ def test_no_blas_call_in_sources():
 
 
 def test_only_langevin_imports_threading_and_the_package_init_loads_only_the_standard_library():
-    # the one thread besides the caller's draws a history's noise one chunk ahead, in
-    # langevin.simulate_chunks; no other code runs threads, so none needs a lock.  The
+    # the one thread besides the caller's is langevin._Ahead's: it runs fdr-verify's next
+    # mode or draws a history's noise one chunk ahead (langevin.simulate_chunks).  The modes
+    # share no state but langevin's filter kernel, loaded under a lock.  The
     # package __init__ runs before thermodeco.cli can ask OpenBLAS for one thread, so it
     # must not load numpy
     importers = set()

@@ -120,10 +120,12 @@ def test_a_command_starts_no_blas_thread_pool(tmp_path, setting, expected):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 def test_a_two_chunk_history_leaves_one_thread(tmp_path):
-    # 600001 samples, two chunks: the second one's noise is drawn on a worker thread, which
-    # is joined before the command returns
-    argv = ["fdr-verify", "--k", "1", "--t-end", "6000", "--out", str(tmp_path / "o")]
-    assert result(start(argv, THREADS, OPENBLAS_NUM_THREADS=None)) == "0 1 1"
+    # 600001 samples, two chunks: one mode draws the second one's noise on a worker thread,
+    # two modes run as a pair, the second on a worker thread; either is joined before the
+    # command returns
+    for ks in ("1", "1,2"):
+        argv = ["fdr-verify", "--k", ks, "--t-end", "6000", "--out", str(tmp_path / ks)]
+        assert result(start(argv, THREADS, OPENBLAS_NUM_THREADS=None)) == "0 1 1", ks
 
 
 def test_a_process_that_loaded_numpy_first_is_left_alone():
