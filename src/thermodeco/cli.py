@@ -77,9 +77,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-# Largest --workers accepted.  --workers changes nothing: the one thread a command may add
-# runs fdr-verify's next mode, or draws a long history's noise a chunk ahead
-# (langevin.simulate_chunks).  perfbench's simulate-csv passes it.
+# Largest --workers accepted.  --workers is how many threads or processes a command may run
+# at once, and any number from 2 up runs two: fdr-verify's second mode of a pair, a long
+# history's noise drawn a chunk ahead (langevin.simulate_chunks), or simulate's writer
+# process (_Writer).  At 1 the command runs alone on the caller's thread
 MAX_WORKERS = 256
 
 
@@ -131,7 +132,7 @@ class RunConfig:
     seed: int = 12345
     out: str = "out"
     format: str = "csv"
-    workers: int = 1
+    workers: int = 2
 
 
 # one parser per RunConfig annotation, for config-file values and flags alike
@@ -436,13 +437,25 @@ class Table:
 
     ``memo``, one dict shared by the tables of a run whose first columns repeat, carries
     the text of that column from table to table (_rows_text); None keeps no text.
+    ``source``, a generator the parts are made from that a run reads to its end whether or
+    not they are read, is closed by close(): a process that writes none of the table then
+    computes none of it.  ``lead``, given by a run of more than one table, holds parts of
+    the rows the memo keeps, with the first column of the table's and zeros elsewhere:
+    _write puts their text in the memo before it forks a _Writer.
     """
 
-    def __init__(self, dtype: np.dtype, n_rows: int, parts, memo: dict | None = None):
+    def __init__(self, dtype: np.dtype, n_rows: int, parts, memo: dict | None = None,
+                 source=None, lead=None):
         self.dtype, self.n_rows, self.parts, self.memo = dtype, n_rows, parts, memo
+        self.source, self.lead = source, lead
 
     def __len__(self) -> int:
         return self.n_rows
+
+    def close(self):
+        """End the table unread."""
+        if self.source is not None:
+            self.source.close()
 
 
 def write_csv(path: Path, columns: list[str], rows: Table, cfg: RunConfig):
@@ -454,7 +467,7 @@ def write_csv(path: Path, columns: list[str], rows: Table, cfg: RunConfig):
     lines.append(",".join(columns))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(_rows_text(rows, _csv_layout, "%.17g", list))  # _fmt's floats
+        fh.writelines(_rows_text(rows, *_TEXT["csv"]))
 
 
 def write_table(outdir: Path, stem: str, columns: list[str], rows: Table | np.ndarray,
@@ -489,7 +502,7 @@ def _interleave(rows: np.ndarray, names, float_cells) -> tuple:
 BLOCK_ROWS = 2 ** 10
 
 
-def _rows_text(table: Table, layout, float_spec: str, float_cells):
+def _rows_text(table: Table, layout, float_spec: str, float_cells, lead_only: bool = False):
     """The text of a table's rows, BLOCK_ROWS rows of a part at a time, each block by one
     template: layout(specs, n) lays out n rows of cells from their '%' specs.
 
@@ -500,6 +513,7 @@ def _rows_text(table: Table, layout, float_spec: str, float_cells):
     an equal key (the layout, the block's dtype and length, and the bits of its first
     column, so -0.0 is not 0.0 and a NaN matches itself) fills only its other cells.  A
     simulate run so formats its time column once while trajectories are one chunk long.
+    With lead_only, only the memo is filled and nothing is yielded.
     """
     names = table.dtype.names
     lead = names[:1] if table.dtype[0].kind == "f" else ()
@@ -518,7 +532,8 @@ def _rows_text(table: Table, layout, float_spec: str, float_cells):
                 template = layout(specs, len(block)) % _interleave(block, lead, float_cells)
                 if key is not None and row < langevin.CHUNK:
                     memo[row] = key, template
-            yield template % _interleave(block, names[len(lead):], float_cells)
+            if not lead_only:
+                yield template % _interleave(block, names[len(lead):], float_cells)
             row += len(block)
         part = block = None  # not held while the next part is made
 
@@ -537,10 +552,21 @@ def _json_layout(specs: list[str], n: int) -> str:
     return ",\n".join([item] * n)
 
 
+# the layout, float spec and float cells of _rows_text in each table format; CSV's floats
+# are _fmt's
+_TEXT = {"csv": (_csv_layout, "%.17g", list), "json": (_json_layout, "%s", _json_floats)}
+
+
+def _fill_memo(table: Table, fmt: str):
+    """Put the text of table.lead's first column in the table's memo, as writing the table in
+    the format fmt would."""
+    deque(_rows_text(Table(table.dtype, 0, table.lead, table.memo), *_TEXT[fmt], True), maxlen=0)
+
+
 def _json_rows(rows: Table):
     """A table as the JSON list of its rows, indented as a member of an indent-2 object."""
     sep = "[\n"
-    for text in _rows_text(rows, _json_layout, "%s", _json_floats):
+    for text in _rows_text(rows, *_TEXT["json"]):
         yield sep + text
         sep = ",\n"
     yield "[]" if sep == "[\n" else "\n  ]"
@@ -661,11 +687,16 @@ def _trajectory_rows(chunks, dt: float):
 def run_simulate(cfg: RunConfig, params: MediumParams, ks: list[float]):
     n_rows = sim_config(cfg).n_steps + 1
     memo = {}  # every trajectory table has the same t column
+    # each table's lead in a run of more than one table: the rows the memo keeps, of a history
+    # of zeros
+    lead = [(0, np.zeros(min(n_rows, langevin.CHUNK)))] if len(ks) * cfg.n_traj > 1 else None
     summary_modes = []
     for m, k in enumerate(ks):
         gamma, n_burn, st, rate = yield from _estimate_mode(params, cfg, m, k, lambda i, chunks: [
             (f"mode{m}_traj{i}",
-             Table(TRAJ_DTYPE, n_rows, _trajectory_rows(chunks, cfg.dt), memo))])
+             Table(TRAJ_DTYPE, n_rows, _trajectory_rows(chunks, cfg.dt), memo, chunks,
+                   lead and _trajectory_rows(lead, cfg.dt)))],
+            cfg.workers >= 2)
         entry = {
             "k": k,
             "expected_rate": gamma,
@@ -713,7 +744,11 @@ def _paired_estimates(params: MediumParams, cfg: RunConfig, modes: list[tuple[in
     is what the modes run in turn give.  A failure ends the run as it would end them in turn:
     if the first fails, or this thread is interrupted, the second stops at its next chunk
     boundary and is joined before the first's error is raised; if the second fails, the
-    first still runs to the end, and its error is raised if it has one."""
+    first still runs to the end, and its error is raised if it has one.  At --workers 1 the
+    modes run in turn on this thread, none drawing ahead."""
+    if cfg.workers < 2:
+        yield from (_fdr_estimate(params, cfg, *mode, False) for mode in modes)
+        return
     for j in range(0, len(modes) - 1, 2):
         stop = []  # appended to on this thread, read on the other: a list op is atomic
         second = langevin._Ahead(partial(_fdr_estimate, params, cfg, *modes[j + 1], False, stop))
@@ -815,19 +850,170 @@ def run_field_sample(cfg: RunConfig, params: MediumParams, sample):
     }
 
 
+def _writer_takes(table: int) -> bool:
+    """Whether a run's table number ``table`` (0 for its first table) is _Writer's."""
+    return table % 2 == 1
+
+
+# the errors main tells apart, sent by the writer process by name and raised again by name
+_REPORTED = {exc.__name__: exc for exc in (OSError, MemoryError, ValueError)}
+
+
+def _write_share(cfg: RunConfig, outdir: Path, items, fd: int):
+    """The writer process: of the (index, (stem, output))s of items, from the run's first
+    table on, write each table that _writer_takes, close every other table unread and skip
+    the reports.  Report each table written as the JSON line [index], or the first
+    error as [index, kind, message], on the pipe fd; then leave through os._exit, status 0
+    once items are done."""
+    status, index, table = 1, -1, 0
+    try:
+        for index, (stem, output) in items:
+            if isinstance(output, dict):
+                continue
+            if _writer_takes(table):
+                write_table(outdir, stem, list(output.dtype.names), output, cfg)
+                os.write(fd, b"[%d]\n" % index)
+            elif isinstance(output, Table):
+                output.close()
+            table += 1
+        status = 0
+    except BaseException as exc:  # reported to the parent, which raises it
+        kind = next((name for name, k in _REPORTED.items() if isinstance(exc, k)),
+                    type(exc).__name__)
+        os.write(fd, json.dumps([index, kind, str(exc)]).encode() + b"\n")
+    finally:
+        os._exit(status)
+
+
+class _Writer:
+    """A forked copy of this process that writes the run's tables that _writer_takes
+    (_write_share), each into its own file, while this process writes the others and every
+    report.  It is forked at the run's first table, once its time column's text is in the
+    run's memo (_fill_memo): the copy inherits that text and formats none of it again.
+
+    This process still draws every table, which its reports pool in order; it builds no
+    rows of the writer's.  ``owed`` is the index of the last output that is the writer's.
+    OSError if no process can be forked.
+    """
+
+    def __init__(self, cfg: RunConfig, outdir: Path, items, first: tuple):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if not self.pid:
+            os.close(read)
+            _write_share(cfg, outdir, chain([first], items), write)
+        os.close(write)
+        self.fd, self.text = read, b""
+        self.owed, self.done, self.error = -1, -1, None
+
+    def _read(self, block: bool):
+        """Take in what the writer reported, waiting for a report if block; at the end of
+        the pipe, reap the writer, and if it ended before its outputs did, with no error
+        reported, record one at the output after its last table."""
+        os.set_blocking(self.fd, block)
+        try:
+            data = os.read(self.fd, 1 << 16)
+        except BlockingIOError:
+            return
+        *lines, self.text = (self.text + data).split(b"\n")
+        for line in lines:
+            index, *error = json.loads(line)
+            if not error:
+                self.done = index
+            elif self.error is None:
+                kind, message = error
+                exc = _REPORTED.get(kind)
+                self.error = index, (exc(message) if exc else
+                                     RuntimeError(f"writer process: {kind}: {message}"))
+        if not data:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            if status and self.error is None:
+                self.error = self.done + 1, ChildProcessError(
+                    f"the writer process ended with status {os.waitstatus_to_exitcode(status)}")
+
+    def wait(self, to_end: bool = False):
+        """Read the writer's reports until it has reported every table it owes, failed or
+        ended; with to_end, until it ended."""
+        while self.pid and (to_end or self.error is None and self.done < self.owed):
+            self._read(True)
+
+    def check(self, index: int):
+        """Raise the writer's first error if it came before output ``index``."""
+        if self.pid:
+            self._read(False)
+        if self.error is not None and self.error[0] < index:
+            raise self.error[1]
+
+    def end(self):
+        """Kill the writer unless it ended, reap it and close the pipe."""
+        if self.pid:
+            import signal  # loaded on this path alone
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self.fd)
+
+
 def _write(cfg: RunConfig, outputs) -> int:
     """Write each (stem, output) a run yields into --out, created at the first output: a
-    Table or record array as a table, a dict as a JSON report.  Exit 1 if a report fails."""
+    Table or record array as a table, a dict as a JSON report.  Exit 1 if a report fails.
+
+    At --workers 2 or more, a run whose first table has a ``lead`` (a run of more than one
+    table) shares its tables with a _Writer process forked at that table, unless os has no
+    fork, the fork fails or another thread is alive.  A failure ends the run with the exit
+    code and message of the run in turn: a report waits for the writer's earlier tables, and
+    of two errors the one at the earlier output is raised, the writer's at the same output.
+    A failure or an interrupt kills the writer, which is reaped before this returns; which
+    other tables got written may then differ from the run in turn.
+    """
     outdir = Path(cfg.out)
     code = EXIT_OK
-    for stem, output in outputs:
-        outdir.mkdir(parents=True, exist_ok=True)
-        if isinstance(output, dict):
-            write_json(outdir / f"{stem}.json", output, cfg)
-            if not output.get("all_pass", True):
-                code = EXIT_STAT_FAIL
-        else:
-            write_table(outdir, stem, list(output.dtype.names), output, cfg)
+    items = enumerate(outputs)
+    writer, table, index = None, 0, -1
+    try:
+        for index, (stem, output) in items:
+            outdir.mkdir(parents=True, exist_ok=True)
+            if writer is not None:
+                if isinstance(output, dict):
+                    writer.wait()
+                writer.check(index)
+            if isinstance(output, dict):
+                write_json(outdir / f"{stem}.json", output, cfg)
+                if not output.get("all_pass", True):
+                    code = EXIT_STAT_FAIL
+                continue
+            # langevin, which alone starts threads, has threading loaded
+            if (table == 0 and isinstance(output, Table) and output.lead is not None
+                    and cfg.workers >= 2 and hasattr(os, "fork")
+                    and langevin.threading.active_count() == 1):
+                _fill_memo(output, cfg.format)
+                try:
+                    writer = _Writer(cfg, outdir, items, (index, (stem, output)))
+                except OSError:  # no process to fork: the run goes on alone
+                    pass
+            if writer is not None and _writer_takes(table):
+                writer.owed = index
+            else:
+                write_table(outdir, stem, list(output.dtype.names), output, cfg)
+            table += 1
+        if writer is not None:
+            writer.wait(to_end=True)
+            writer.check(math.inf)
+    except Exception:
+        if writer is not None:
+            writer.wait()
+            writer.check(index + 1)
+        raise
+    finally:
+        if writer is not None:
+            writer.end()
     return code
 
 

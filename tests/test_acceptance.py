@@ -217,12 +217,16 @@ def test_criterion_10_determinism_across_workers(tmp_path):
     for w in (1, 2, 8):
         out = tmp_path / f"w{w}"
         assert cli_main(["simulate", *base, "--out", str(out), "--workers", str(w)]) == 0
+        # the tables again as JSON, half of them written by a forked writer process
+        assert cli_main(["simulate", *base, "--out", str(out / "json"), "--format", "json",
+                         "--workers", str(w)]) == 0
         assert cli_main(["deco-scan", "--k", "0.5,1,2", "--seed", "777",
                          "--out", str(out), "--workers", str(w)]) == 0
         # modes 0.5 and 1 run as a pair, one of them on a second thread
         assert cli_main(["fdr-verify", "--k", "0.5,1,2", "--t-end", "500", "--seed", "777",
                          "--out", str(out), "--workers", str(w)]) == 0
-        outputs[w] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        outputs[w] = {f.relative_to(out): f.read_bytes() for f in sorted(out.rglob("*"))
+                      if f.is_file()}
     ok = outputs[1] == outputs[2] == outputs[8]
     _report(10, "byte-identical artifacts across 1/2/8 workers", ok,
             f"{len(outputs[1])} files compared")

@@ -331,7 +331,7 @@ SETTINGS = {
     "n_traj": "3", "initial": "0.3", "noise_scale": "0.5",
     "amplitude": "0.2", "duration": "5", "scan_steps": "7",
     "lattice_n": "8", "lattice_a": "0.5", "n_fields": "50",
-    "seed": "9", "out": "elsewhere", "format": "json", "workers": "2",
+    "seed": "9", "out": "elsewhere", "format": "json", "workers": "1",
 }
 
 
@@ -433,6 +433,185 @@ def test_simulate_rerun_byte_identical(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for f in sorted(out1.iterdir()):
         assert f.read_bytes() == (out2 / f.name).read_bytes()
+
+
+# 8 trajectory tables, outputs 0 to 7, then the summary; a writer process writes the odd ones
+WRITER_RUN = ["simulate", "--k", "1,2", "--t-end", "5", "--n-traj", "4", "--burn-in", "0",
+              "--seed", "5"]
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list:
+    """os.fork, recording the names of the threads alive at each call."""
+    fork, calls = os.fork, []
+
+    def counted():
+        calls.append(sorted(t.name for t in threading.enumerate()))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def fail_tables(monkeypatch, faults: dict, only_in: int | None = None):
+    """write_table raising faults[stem] for a table of that stem, in the process only_in or
+    in any; 0.2 s late in a process forked from this one, so that the writer process fails
+    after the parent does."""
+    write_table, parent = cli.write_table, os.getpid()
+
+    def failing(outdir, stem, *args):
+        if stem in faults and only_in in (None, os.getpid()):
+            if os.getpid() != parent:
+                time.sleep(0.2)
+            raise faults[stem]
+        return write_table(outdir, stem, *args)
+
+    monkeypatch.setattr(cli, "write_table", failing)
+
+
+@pytest.mark.parametrize("faults", [
+    {"mode0_traj3": OSError("the writer's table 3")},
+    # both fail: the earlier table's error, whichever process meets it first
+    {"mode0_traj1": MemoryError("the writer's table 1"), "mode0_traj2": OSError("table 2")},
+    {"mode0_traj3": OSError("the writer's table 3"), "mode1_traj0": ValueError("table 4")},
+    {"mode0_traj2": ValueError("table 2"), "mode0_traj3": OSError("the writer's table 3")},
+])
+def test_writer_process_failure_ends_the_run_as_in_turn(tmp_path, capsys, monkeypatch, faults):
+    fail_tables(monkeypatch, faults)
+    forks = count_forks(monkeypatch)
+    ends = {}
+    for workers in ("1", "2"):
+        rc = main([*WRITER_RUN, "--workers", workers, "--out", str(tmp_path / workers)])
+        ends[workers] = rc, capsys.readouterr().err
+        no_child_left()
+    assert len(forks) == 1
+    assert ends["2"] == ends["1"]
+    rc, err = ends["1"]
+    assert rc in (2, 3, 4) and err.count("\n") == 1 and str(faults[min(faults)]) in err
+    assert not (tmp_path / "2" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("fault", ["i/o", "non-finite", "interrupt"])
+def test_a_failure_in_the_parent_kills_the_writer_process(tmp_path, capsys, monkeypatch, fault):
+    # the parent fails at its table 2, the writer would sleep in its last table, 7
+    parent, write_table = os.getpid(), cli.write_table
+
+    def slow(outdir, stem, *args):
+        if stem == "mode1_traj3" and os.getpid() != parent:
+            time.sleep(60)
+        return write_table(outdir, stem, *args)
+
+    monkeypatch.setattr(cli, "write_table", slow)
+    if fault == "non-finite":
+        simulate_chunks = langevin.simulate_chunks
+
+        def table_2_non_finite(*args):
+            for chunk in simulate_chunks(*args):
+                if args[3] == 2:  # the substream of mode 0, trajectory 2
+                    chunk[3] = np.inf
+                yield chunk
+
+        monkeypatch.setattr(langevin, "simulate_chunks", table_2_non_finite)
+    else:
+        error = OSError("table 2") if fault == "i/o" else KeyboardInterrupt()
+        fail_tables(monkeypatch, {"mode0_traj2": error}, only_in=parent)
+    argv = [*WRITER_RUN, "--out", str(tmp_path / "o")]
+    start = time.monotonic()
+    if fault == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == (3 if fault == "i/o" else 4)
+    assert time.monotonic() - start < 30
+    no_child_left()
+    assert not (tmp_path / "o" / "mode1_traj3.csv").exists()
+    err = capsys.readouterr().err
+    assert err == {"i/o": "i/o error: table 2\n", "interrupt": "",
+                   "non-finite": "internal consistency violation: history contains non-finite "
+                                 "entries\n"}[fault]
+
+
+def test_a_writer_process_that_dies_fails_the_run(tmp_path, capsys, monkeypatch):
+    write_table = cli.write_table
+
+    def dying(outdir, stem, *args):
+        if stem == "mode0_traj3":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write_table(outdir, stem, *args)
+
+    monkeypatch.setattr(cli, "write_table", dying)
+    assert main([*WRITER_RUN, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "i/o error: the writer process ended with status -9\n"
+    no_child_left()
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_process_moves_no_byte(tmp_path, monkeypatch, fmt):
+    # three tables of 10 chunks, each drawn a chunk ahead on a thread: none is alive at the
+    # fork
+    monkeypatch.setattr(langevin, "CHUNK", 4096)
+    forks = count_forks(monkeypatch)
+    argv = ["simulate", "--k", "1,2,3", "--t-end", "400", "--seed", "6", "--format", fmt]
+    outs = {w: tmp_path / w for w in ("1", "2", "8")}
+    for workers, out in outs.items():
+        assert main([*argv, "--workers", workers, "--out", str(out)]) == 0
+        no_child_left()
+    assert forks == [["MainThread"]] * 2
+    assert_same_trees(outs)
+
+
+def test_the_writer_process_draws_only_its_own_tables(tmp_path, monkeypatch):
+    # the command draws every trajectory, which its summary pools in order
+    log, simulate_chunks = tmp_path / "draws", langevin.simulate_chunks
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {args[3]}\n")
+        yield from simulate_chunks(*args)
+
+    monkeypatch.setattr(langevin, "simulate_chunks", logged)
+    assert main([*WRITER_RUN, "--out", str(tmp_path / "o")]) == 0
+    draws = {}
+    for line in log.read_text().splitlines():
+        pid, substream = map(int, line.split())
+        draws.setdefault(pid, []).append(substream)
+    assert draws.pop(os.getpid()) == list(range(8))
+    assert list(draws.values()) == [[1, 3, 5, 7]]
+
+
+def test_simulate_writes_alone_if_it_cannot_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    outs = {w: tmp_path / w for w in ("1", "2")}
+    assert main([*WRITER_RUN, "--workers", "1", "--out", str(outs["1"])]) == 0
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main([*WRITER_RUN, "--out", str(outs["2"])]) == 0
+    assert_same_trees(outs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "1", "--t-end", "5"],  # one table
+    [*WRITER_RUN, "--workers", "1"],
+    ["deco-scan", "--k", "1,2"],
+    ["fdr-verify", "--k", "1,2", "--t-end", "400"],
+])
+def test_only_simulate_of_more_than_one_table_forks(tmp_path, monkeypatch, argv):
+    forks = count_forks(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert forks == []
+
+
+def test_simulate_on_a_second_thread_writes_alone(tmp_path, monkeypatch):
+    # a fork would copy one thread of two
+    forks = count_forks(monkeypatch)
+    codes, left = _main_on_a_thread([*WRITER_RUN, "--out", str(tmp_path / "o")])
+    assert codes == [0] and not left and forks == []
 
 
 def test_fdr_verify_passes(tmp_path):
@@ -635,20 +814,28 @@ def test_fdr_verify_pairs_move_no_byte(tmp_path, monkeypatch, ks):
 
 def test_fdr_verify_runs_one_thread_at_a_time(tmp_path, monkeypatch):
     # a pair of modes, then a last mode drawing ahead: each started thread finds no other
-    # started thread alive
+    # started thread alive.  At --workers 1 the modes run in turn and start no thread
     monkeypatch.setattr(langevin, "CHUNK", 4096)
-    started, overlaps, start = [], [], threading.Thread.start
+    start = threading.Thread.start
+    for workers in ("2", "1"):
+        started, overlaps = [], []
 
-    def counted(thread):
-        overlaps.append(sum(t.is_alive() for t in started))
-        started.append(thread)
-        start(thread)
+        def counted(thread):
+            overlaps.append(sum(t.is_alive() for t in started))
+            started.append(thread)
+            start(thread)
 
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    rc = main(["fdr-verify", "--k", "1,2,3", "--t-end", "200", "--out", str(tmp_path / "o")])
-    assert rc in (0, 1)
-    assert len(started) > 1 and set(overlaps) == {0}
-    assert not any(t.is_alive() for t in started)
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        rc = main(["fdr-verify", "--k", "1,2,3", "--t-end", "200", "--workers", workers,
+                   "--out", str(tmp_path / workers)])
+        assert rc in (0, 1)
+        if workers == "1":
+            assert started == []
+        else:
+            assert len(started) > 1 and set(overlaps) == {0}
+            assert not any(t.is_alive() for t in started)
+    assert ((tmp_path / "1" / "fdr_report.json").read_bytes()
+            == (tmp_path / "2" / "fdr_report.json").read_bytes())
 
 
 def test_fdr_verify_reports_a_non_positive_lag1_correlation(tmp_path, capsys, monkeypatch):

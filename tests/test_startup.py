@@ -4,7 +4,8 @@ A simulated mode loads lfilter's compiled extension alone, on the first mode:
 scipy itself, scipy.signal and scipy.stats never load.  Commands that simulate
 nothing never touch scipy; deco-scan and every --help load neither
 numpy.random nor numpy.fft.  A cold run must write the same bytes at every
---workers count.  Importing the package loads no numpy, so a command can ask
+--workers count, with or without the writer process simulate forks from two
+workers on.  Importing the package loads no numpy, so a command can ask
 OpenBLAS for one thread before numpy loads.
 """
 
@@ -56,15 +57,18 @@ def test_simulation_never_loads_scipy_signal(tmp_path, argv):
 
 
 def test_cold_first_simulation_is_identical_across_worker_counts(tmp_path):
-    argv = ["simulate", "--k", "1,2", "--n-traj", "4"]
+    # at --workers 2 and 8 a forked writer process writes half of the tables
     workers = ("1", "2", "8")
-    procs = {w: start(argv + ["--workers", w, "--out", str(tmp_path / w)]) for w in workers}
-    assert [result(p) for p in procs.values()] == ["0 False False"] * len(workers)
-    files = sorted(p.name for p in (tmp_path / "1").iterdir())
-    assert len(files) == 9
-    for name in files:
-        for w in workers[1:]:
-            assert (tmp_path / w / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    for fmt in ("csv", "json"):
+        argv = ["simulate", "--k", "1,2", "--n-traj", "4", "--format", fmt]
+        outs = {w: tmp_path / fmt / w for w in workers}
+        procs = {w: start(argv + ["--workers", w, "--out", str(outs[w])]) for w in workers}
+        assert [result(p) for p in procs.values()] == ["0 False False"] * len(workers)
+        files = sorted(p.name for p in outs["1"].iterdir())
+        assert len(files) == 9
+        for name in files:
+            for w in workers[1:]:
+                assert (outs[w] / name).read_bytes() == (outs["1"] / name).read_bytes()
 
 
 # every name the package exports, each loaded from its submodule on first use
