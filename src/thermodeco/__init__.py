@@ -8,12 +8,20 @@ long-wavelength (nearly conserved) modes decohere most efficiently.
 
 Each exported name loads its submodule on first use (PEP 562), so importing
 the package loads no numpy: `python -m thermodeco.cli` runs this file first,
-and the command has to set up OpenBLAS before numpy loads.
+and the command has to set up OpenBLAS before numpy loads.  The spellings of
+the stepper and initial-value settings are defined here, so the command
+parses and checks its arguments and config file, and prints its usage,
+before numpy loads, or without loading it at all.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+# SimConfig's methods and its non-numeric initial value
+METHOD_EXACT = "exact-ou"
+METHOD_EULER = "euler-maruyama"
+SAMPLE_EQUILIBRIUM = "sample-equilibrium"
 
 _EXPORTS = {
     "errors": (
@@ -35,9 +43,6 @@ _EXPORTS = {
         "relaxation_rate",
     ),
     "langevin": (
-        "METHOD_EULER",
-        "METHOD_EXACT",
-        "SAMPLE_EQUILIBRIUM",
         "NoiseStream",
         "SimConfig",
         "deterministic_decay",
@@ -74,7 +79,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = list(_MODULE_OF)
+__all__ = ["METHOD_EULER", "METHOD_EXACT", "SAMPLE_EQUILIBRIUM", *_MODULE_OF]
 
 
 def __getattr__(name: str):

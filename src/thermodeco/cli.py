@@ -35,37 +35,57 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
+from . import METHOD_EULER, METHOD_EXACT, SAMPLE_EQUILIBRIUM, __version__
 
-from . import __version__, langevin
-from .errors import InsufficientDataError
-from .fieldspace import (
-    equilibrium_energy_variance,
-    equilibrium_site_variance,
-    mean_free_energy,  # unused here; perfbench/traced.py wraps it by this name
-    parseval_check,
-    sample_equilibrium_field,
-    total_energy_change,
-    total_energy_fluctuation,  # unused here; perfbench/traced.py wraps it by this name
-)
-from .influence import DECO_DTYPE, decoherence_scan, noise_kernel_amplitude, scan_exponents
-from .langevin import (
-    METHOD_EULER,
-    METHOD_EXACT,
-    SAMPLE_EQUILIBRIUM,
-    NoiseStream,
-    SimConfig,
-    _step_coefficients,
-)
-from .medium import (
-    LatticeField,
-    MediumParams,
-    equilibrium_mode_variance,
-    free_energy_change,
-    noise_strength,
-    relaxation_rate,
-)
-from .stats import StreamStats, sample_variance, variance_stderr_correlated
+_loaded = False
+
+
+def _load():
+    """Bind numpy, the numeric layers' names and TRAJ_DTYPE in this module, once.
+
+    An imported cli calls this at import (below), not on a name's first use: code that imports
+    cli looks its names up, or calls a function that uses them, before any main runs, and
+    perfbench/traced.py replaces some with wrappers.  So a second call rebinds nothing, and the
+    names are bound together once every import has succeeded: a failed import binds none and
+    marks nothing loaded.  Run as a script, main calls this once the arguments and config
+    file have parsed, so a --help, a usage error or a config-file error loads no numpy.
+    """
+    global _loaded
+    if _loaded:
+        return
+    import numpy as np
+
+    from . import langevin
+    from .errors import InsufficientDataError
+    from .fieldspace import (
+        equilibrium_energy_variance,
+        equilibrium_site_variance,
+        mean_free_energy,  # unused here; perfbench/traced.py wraps it by this name
+        parseval_check,
+        sample_equilibrium_field,
+        total_energy_change,
+        total_energy_fluctuation,  # unused here; perfbench/traced.py wraps it by this name
+    )
+    from .influence import DECO_DTYPE, decoherence_scan, noise_kernel_amplitude, scan_exponents
+    from .langevin import NoiseStream, SimConfig, _step_coefficients
+    from .medium import (
+        LatticeField,
+        MediumParams,
+        equilibrium_mode_variance,
+        free_energy_change,
+        noise_strength,
+        relaxation_rate,
+    )
+    from .stats import StreamStats, sample_variance, variance_stderr_correlated
+
+    # the columns of a trajectory of one mode; a decoherence scan is its DECO_DTYPE table
+    TRAJ_DTYPE = np.dtype([("t", float), ("delta_T", float)])
+    globals().update(locals())
+    _loaded = True
+
+
+if __name__ != "__main__":
+    _load()
 
 # perfbench/traced.py looks these names up here to wrap them, but they name functions since
 # deleted and nothing calls them; they go when traced.py reads stage timers (ROADMAP item 1)
@@ -426,10 +446,6 @@ def config_echo(cfg: RunConfig) -> dict:
     echo = {"version": __version__}
     echo.update((k, v) for k, v in asdict(cfg).items() if k not in _NON_PROVENANCE_KEYS)
     return echo
-
-
-# the columns of a trajectory of one mode; a decoherence scan is its DECO_DTYPE table
-TRAJ_DTYPE = np.dtype([("t", float), ("delta_T", float)])
 
 
 class Table:
@@ -1051,6 +1067,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         check, run = _COMMANDS[args.command]
         cfg = resolve_config(args)
+        _load()
         params = MediumParams(T0=cfg.T0, c0=cfg.c0, D0=cfg.D0, d=cfg.d)
         checked = check(cfg, params)
     except SystemExit:  # --help, which printed the usage

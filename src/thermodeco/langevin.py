@@ -23,12 +23,9 @@ from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
 
+from . import METHOD_EULER, METHOD_EXACT, SAMPLE_EQUILIBRIUM
 from .errors import InsufficientDataError
 from .medium import MediumParams, equilibrium_mode_variance, noise_strength, relaxation_rate
-
-METHOD_EXACT = "exact-ou"
-METHOD_EULER = "euler-maruyama"
-SAMPLE_EQUILIBRIUM = "sample-equilibrium"
 
 _METHODS = (METHOD_EXACT, METHOD_EULER)
 

@@ -91,6 +91,26 @@ def test_bad_flag_exits_2(capsys):
     assert capsys.readouterr().out.startswith("usage: thermodeco simulate")
 
 
+def test_main_keeps_a_name_replaced_after_import(tmp_path, monkeypatch):
+    # perfbench/traced.py wraps cli's names once it has imported cli: main's load of the
+    # numeric layers must not bind them again
+    scanned = []
+
+    def scan(params, ks, *args):
+        scanned.append(ks.tolist())
+        return decoherence_scan(params, ks, *args)
+
+    monkeypatch.setattr(cli, "decoherence_scan", scan)
+    assert main(["deco-scan", "--k", "2,1", "--out", str(tmp_path / "o")]) == 0
+    assert scanned == [[1.0, 2.0]]
+    # a failed import binds no name and marks nothing loaded: the next load tries again
+    monkeypatch.setattr(cli, "_loaded", False)
+    monkeypatch.setitem(sys.modules, "thermodeco.stats", None)
+    with pytest.raises(ImportError):
+        cli._load()
+    assert cli.decoherence_scan is scan and not cli._loaded
+
+
 INVALID_RUNS = [
     ["simulate", "--k", "1", "--dt", "0"],
     ["simulate", "--k", "-1"],
