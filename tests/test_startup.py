@@ -2,7 +2,8 @@
 
 A simulated mode loads lfilter's compiled extension alone, on the first mode:
 scipy itself, scipy.signal and scipy.stats never load.  Commands that simulate
-nothing never touch scipy; deco-scan loads neither numpy.random nor numpy.fft.
+nothing never touch scipy; deco-scan and every --help load neither
+numpy.random nor numpy.fft.
 A cold run must write the same bytes at every --workers count, with or without
 the writer process simulate forks from two workers on.  Importing the package
 loads no numpy, so a command can ask OpenBLAS for one thread before numpy
@@ -157,11 +158,15 @@ LOADED = ("import sys; from thermodeco.cli import main; rc = main(sys.argv[1:]);
 
 
 @pytest.mark.parametrize("argv, expected", [
+    (["field-sample", "--help"], "0"),
+    (["deco-scan", "--help"], "0"),
     # a scan draws nothing and transforms nothing
     (["deco-scan", "--k-min", "0", "--dk", "0.5", "--k-count", "20"], "0"),
     (["deco-scan", "--k", "2,0,1", "--format", "json"], "0"),
     # field-sample draws its fields and transforms them
     (["field-sample", "--lattice-n", "8", "--n-fields", "50"], "0 numpy.random numpy.fft"),
+    (["simulate", "--help"], "0"),
+    (["fdr-verify", "--help"], "0"),
 ])
 def test_command_loads_only_the_numpy_modules_it_uses(tmp_path, argv, expected):
     assert result(start(argv + ["--out", str(tmp_path / "o")], LOADED)) == expected
