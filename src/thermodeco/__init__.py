@@ -82,6 +82,13 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = ["METHOD_EULER", "METHOD_EXACT", "SAMPLE_EQUILIBRIUM", *_MODULE_OF]
 
 
+def main():
+    """The installed thermodeco script: thermodeco.cli run as by `python -m`, which parses its
+    arguments and config file before numpy loads."""
+    from runpy import run_module
+    run_module("thermodeco.cli", run_name="__main__", alter_sys=True)
+
+
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:

@@ -7,10 +7,10 @@ Subcommands
     field-sample  equilibrium lattice sampling with energy-fluctuation checks
 
 Configuration is a plain-text key=value file (# comments); command-line
-flags override file values.  Every RunConfig key has a flag of the same
-name with _ written as - (k_list is --k); the key's annotation picks the
-parser of both.  The fully resolved config and version string are
-embedded in every output file.  Exit codes: 0 pass, 1 statistical
+flags override file values.  A subcommand takes the RunConfig keys it reads
+(_READS), and seed, out and workers, each also as a flag (_ written as -, k_list
+as --k); the key's annotation picks the parser of both.  Every output embeds
+the keys read and the version string.  Exit codes: 0 pass, 1 statistical
 failure, 2 config error, 3 I/O failure, 4 internal consistency violation.
 """
 
@@ -47,8 +47,8 @@ def _load():
     cli looks its names up, or calls a function that uses them, before any main runs, and
     perfbench/traced.py replaces some with wrappers.  So a second call rebinds nothing, and the
     names are bound together once every import has succeeded: a failed import binds none and
-    marks nothing loaded.  Run as a script, main calls this once the arguments and config
-    file have parsed, so a --help, a usage error or a config-file error loads no numpy.
+    marks nothing loaded.  Run as a script (python -m or thermodeco.main), main calls this once
+    the arguments and config file have parsed: a --help, usage or config-file error loads no numpy.
     """
     global _loaded
     if _loaded:
@@ -98,8 +98,8 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 # Largest --workers accepted.  --workers is how many threads or processes a command may run
-# at once, and any number from 2 up runs two: fdr-verify's second mode of a pair, a long
-# history's noise drawn a chunk ahead (langevin.simulate_chunks), or simulate's writer
+# at once, and any number from 2 up runs two: fdr-verify's second mode of a pair, a lone
+# long history's noise drawn a chunk ahead (langevin.simulate_chunks), or simulate's writer
 # process (_Writer).  At 1 the command runs alone on the caller's thread
 MAX_WORKERS = 256
 
@@ -123,6 +123,7 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Fully resolved run configuration (file values overridden by flags)."""
 
+    command = None  # not a key: the subcommand resolve_config made it for, whose keys it echoes
     T0: float = 1.0
     c0: float = 1.0
     D0: float = 1.0
@@ -132,7 +133,6 @@ class RunConfig:
     k_min: float = 1.0
     dk: float = 1.0
     k_count: int = 1
-    # simulation
     dt: float = 0.01
     t_end: float = 100.0
     method: str = METHOD_EXACT
@@ -140,15 +140,12 @@ class RunConfig:
     n_traj: int = 1
     initial: float | str = SAMPLE_EQUILIBRIUM
     noise_scale: float = 1.0  # test-only knob; != 1 breaks the noise balance
-    # decoherence scan
     amplitude: float = 0.1
     duration: float = 10.0
     scan_steps: int = 100
-    # lattice sampling
     lattice_n: int = 64
     lattice_a: float = 1.0
     n_fields: int = 1000
-    # run control
     seed: int = 12345
     out: str = "out"
     format: str = "csv"
@@ -195,7 +192,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = load_config_file(args.config) if args.config else {}
     values.update((key, _parse(key, raw, "command line"))
                   for key, raw in vars(args).items() if key in _FIELD_TYPES)
+    if unread := [key for key in values if key not in _READS[args.command] + _EVERY]:
+        raise ConfigError(f"{args.command} does not read {unread[0]}")
     cfg = RunConfig(**values)
+    cfg.command = args.command
     if cfg.method not in (METHOD_EXACT, METHOD_EULER):
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.format not in ("csv", "json"):
@@ -235,15 +235,12 @@ def _check_array_size(what: str, n_values: int):
 def _check_run(cfg: RunConfig, params: MediumParams, fdr: bool = False) -> list[float]:
     """The mode set, under the time-grid, overflow and stability constraints of a simulated run.
 
-    ``fdr`` also requires one trajectory per mode, a damped mode and, of each, a lag-1 rate
+    ``fdr`` also requires a damped mode and, of each, a lag-1 rate
     fdr-verify can measure: e^(-gamma dt) below 1 and LAG1_CLEARANCE sd of its estimate above
     0, over at least MIN_GAMMA_T relaxation times after burn-in.  Without ``fdr`` (simulate)
     every row, none shorter than "0,0\n", must fit in the space free on --out's file system.
     """
     ks = ScanGrid(cfg).points()
-    if fdr and cfg.n_traj > 1:
-        raise ConfigError(f"fdr-verify runs one trajectory per mode; n_traj must be 1, "
-                          f"got {cfg.n_traj}")
     n_samples = _finite("number of steps t_end/dt", lambda: sim_config(cfg).n_steps) + 1
     _check_array_size("t_end/dt + 1 samples per trajectory", n_samples)
     # no run is held whole; this bounds each substream m * n_traj + i under Philox's 64-bit key
@@ -338,9 +335,7 @@ def _check_scan(cfg: RunConfig, params: MediumParams) -> ScanGrid:
 def _check_fields(cfg: RunConfig, params: MediumParams):
     """The lattice template and per-field energy and free-energy arrays of a lattice sample,
     under its ensemble size and overflow constraints; the arrays are allocated here, so an
-    n_fields beyond memory fails at once.  The grid is checked, never made: a lattice field
-    holds every mode of its lattice."""
-    ScanGrid(cfg)
+    n_fields beyond memory fails at once."""
     if cfg.n_fields < 2:
         raise ConfigError("n_fields must be >= 2")
     _check_array_size("n_fields per-field values", cfg.n_fields)
@@ -387,10 +382,9 @@ def _check_wavenumbers(ks: np.ndarray) -> np.ndarray:
 class ScanGrid:
     """The mode set: the explicit k_list, held whole (its user sized it), or the uniform grid
     k_min + i * dk, made only when asked for.  simulate and fdr-verify take its points,
-    deco-scan its blocks, field-sample only its checks.  A ConfigError unless every k is
-    finite (a grid point that overflows is +-inf) and non-negative: the grid is monotone in i
-    and its point i = 0 is k_min, so its point i = k_count - 1 is non-finite if any is, and
-    one of the two is its smallest."""
+    deco-scan its blocks.  A ConfigError unless every k is finite (a grid point that overflows
+    is +-inf) and non-negative: the grid is monotone in i and its point i = 0 is k_min, so its
+    point i = k_count - 1 is non-finite if any is, and one of the two is its smallest."""
 
     def __init__(self, cfg: RunConfig):
         _check_array_size("k_count wavenumbers", cfg.k_count)
@@ -437,15 +431,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# execution details excluded from provenance so outputs are byte-identical
-# across worker counts and destination directories
-_NON_PROVENANCE_KEYS = ("out", "workers")
-
-
 def config_echo(cfg: RunConfig) -> dict:
-    echo = {"version": __version__}
-    echo.update((k, v) for k, v in asdict(cfg).items() if k not in _NON_PROVENANCE_KEYS)
-    return echo
+    """The version and the keys cfg's command reads, in RunConfig's order."""
+    reads = _READS.get(cfg.command, ())
+    return {"version": __version__, **{k: v for k, v in asdict(cfg).items() if k in reads}}
 
 
 class Table:
@@ -712,7 +701,7 @@ def run_simulate(cfg: RunConfig, params: MediumParams, ks: list[float]):
             (f"mode{m}_traj{i}",
              Table(TRAJ_DTYPE, n_rows, _trajectory_rows(chunks, cfg.dt), memo, chunks,
                    lead and _trajectory_rows(lead, cfg.dt)))],
-            cfg.workers >= 2)
+            cfg.workers >= 2 and lead is None)
         entry = {
             "k": k,
             "expected_rate": gamma,
@@ -1043,19 +1032,32 @@ _COMMANDS = {
     "field-sample": (_check_fields, run_field_sample),
 }
 
+# the keys each subcommand reads, which its outputs echo.  Every subcommand also takes seed
+# (read where listed, by a command that draws noise), out and workers
+_GRID = ("k_list", "k_min", "dk", "k_count")
+_SIMULATED = ("T0", "c0", "D0", *_GRID, "dt", "t_end", "method", "burn_in", "initial",
+              "noise_scale", "seed")
+_READS = {
+    "simulate": (*_SIMULATED, "n_traj", "format"),
+    "fdr-verify": _SIMULATED,
+    "deco-scan": ("c0", "D0", *_GRID, "amplitude", "duration", "scan_steps", "format"),
+    "field-sample": ("T0", "c0", "d", "lattice_n", "lattice_a", "n_fields", "noise_scale", "seed"),
+}
+_EVERY = ("seed", "out", "workers")
+
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    for f in fields(RunConfig):
-        flag = "--k" if f.name == "k_list" else "--" + f.name.replace("_", "-")
-        common.add_argument(flag, dest=f.name, default=argparse.SUPPRESS)
-
+    """A subparser per command; a flag of a key it does not take is hidden from its --help."""
     parser = _Parser(prog="thermodeco",
                      description="Fluctuating heat diffusion simulator and verifier")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common])
+    for name, reads in _READS.items():
+        command = sub.add_parser(name)
+        command.add_argument("--config", help="key=value config file")
+        for key in _FIELD_TYPES:
+            command.add_argument("--k" if key == "k_list" else "--" + key.replace("_", "-"),
+                                 dest=key, default=argparse.SUPPRESS,
+                                 help=None if key in reads + _EVERY else argparse.SUPPRESS)
     return parser
 
 

@@ -355,16 +355,76 @@ SETTINGS = {
 }
 
 
+def flag(key: str) -> str:
+    return "--k" if key == "k_list" else "--" + key.replace("_", "-")
+
+
+def takes(command: str) -> tuple:
+    """The keys a subcommand takes: those it reads, and seed, out and workers."""
+    return cli._READS[command] + cli._EVERY
+
+
 @pytest.mark.parametrize("key", sorted(SETTINGS))
 def test_config_key_and_flag_resolve_alike(tmp_path, key):
     assert set(SETTINGS) == {f.name for f in fields(RunConfig)}
+    command = next(name for name in cli._READS if key in takes(name))
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key}={SETTINGS[key]}\n")
-    flag = "--k" if key == "k_list" else "--" + key.replace("_", "-")
     parser = build_parser()
-    from_file = resolve_config(parser.parse_args(["simulate", "--config", str(cfgfile)]))
-    from_flag = resolve_config(parser.parse_args(["simulate", flag, SETTINGS[key]]))
+    from_file = resolve_config(parser.parse_args([command, "--config", str(cfgfile)]))
+    from_flag = resolve_config(parser.parse_args([command, flag(key), SETTINGS[key]]))
     assert from_file == from_flag != RunConfig()
+
+
+UNREAD = [(command, key) for command in cli._READS for key in SETTINGS
+          if key not in takes(command)]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key, how):
+    assert len(UNREAD) == 4 * len(SETTINGS) - 57
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key}={SETTINGS[key]}\n")
+    argv = ["--config", str(cfgfile)] if how == "config" else [flag(key), SETTINGS[key]]
+    out = tmp_path / "o"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {command} does not read {key}\n")
+    assert not out.exists()
+
+
+def outputs_outside_the_echo(argv: list[str], out: Path, capsys) -> tuple:
+    """The exit code, stdout and stderr of main(argv), and each file it writes under out
+    without its config echo: a CSV's comment lines, a JSON file's config member."""
+    code = main(argv + ["--out", str(out)])
+    files = {}
+    for path in sorted(out.iterdir()) if out.exists() else []:
+        if path.suffix == ".json":
+            files[path.name] = {k: v for k, v in read_json(path).items() if k != "config"}
+        else:
+            files[path.name] = [line for line in path.read_text().splitlines()
+                                if not line.startswith("#")]
+    return code, capsys.readouterr(), files
+
+
+# a small run of each subcommand that exits 0; its every key differs from its SETTINGS value,
+# which a flag after these sets
+READ_BASE = {
+    "simulate": ["--k-count", "2", "--t-end", "10"],
+    "fdr-verify": ["--k-count", "2", "--t-end", "400"],
+    "deco-scan": ["--k-count", "2"],
+    "field-sample": ["--lattice-n", "4", "--n-fields", "40", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, reads in cli._READS.items()
+                                          for key in reads])
+def test_every_key_a_command_reads_changes_its_output(tmp_path, capsys, command, key):
+    argv = [command, *READ_BASE[command]]
+    base = outputs_outside_the_echo(argv, tmp_path / "base", capsys)
+    assert base[0] == 0
+    assert outputs_outside_the_echo(argv + [flag(key), SETTINGS[key]], tmp_path / "set",
+                                    capsys) != base
 
 
 def test_config_file_with_comments_and_overrides(tmp_path):
@@ -572,8 +632,7 @@ def test_a_writer_process_that_dies_fails_the_run(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writer_process_moves_no_byte(tmp_path, monkeypatch, fmt):
-    # three tables of 10 chunks, each drawn a chunk ahead on a thread: none is alive at the
-    # fork
+    # three tables of 10 chunks: no thread is alive at the fork, none draws ahead
     monkeypatch.setattr(langevin, "CHUNK", 4096)
     forks = count_forks(monkeypatch)
     argv = ["simulate", "--k", "1,2,3", "--t-end", "400", "--seed", "6", "--format", fmt]
@@ -613,6 +672,26 @@ def test_simulate_writes_alone_if_it_cannot_fork(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     assert main([*WRITER_RUN, "--out", str(outs["2"])]) == 0
     assert_same_trees(outs)
+
+
+@pytest.mark.parametrize("argv, ahead", [
+    (["simulate", "--k", "1", "--t-end", "5"], [True]),  # one table at --workers 2
+    (["simulate", "--k", "1", "--t-end", "5", "--workers", "1"], [False]),
+    # of more than one table the writer process takes half, so nothing draws ahead
+    (["simulate", "--k", "1", "--t-end", "5", "--n-traj", "2"], [False] * 2),
+    ([*WRITER_RUN, "--workers", "8"], [False] * 8),
+])
+def test_simulate_draws_ahead_only_in_a_run_of_one_table(tmp_path, monkeypatch, argv, ahead):
+    # each simulate_chunks call of this process, with its ahead argument
+    calls, simulate_chunks = [], langevin.simulate_chunks
+
+    def recorded(*args):
+        calls.append(args[4])
+        return simulate_chunks(*args)
+
+    monkeypatch.setattr(langevin, "simulate_chunks", recorded)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert calls == ahead
 
 
 @pytest.mark.parametrize("argv", [
@@ -1266,19 +1345,6 @@ def test_field_sample_streams_in_bounded_memory(tmp_path):
     assert float(proc.stdout) < 44
 
 
-def test_field_sample_memory_does_not_grow_with_the_grid(tmp_path):
-    # a lattice sample reads no k, yet its whole grid was made and checked: 1e6 wavenumbers
-    # peaked at ~75 MiB against ~35 MiB for one
-    peaks = []
-    for n in (1, 10 ** 6):
-        proc = cold(["-c", WAIT4_PEAK, sys.executable, "-m", "thermodeco.cli", "field-sample",
-                     "--lattice-n", "8", "--n-fields", "50", "--k-count", str(n),
-                     "--out", str(tmp_path / str(n))])
-        assert proc.returncode == 0, proc.stderr
-        peaks.append(float(proc.stdout))
-    assert peaks[1] - peaks[0] < 2, peaks
-
-
 @pytest.mark.parametrize("fmt, bound", [("csv", 75), ("json", 85)])
 def test_simulate_writes_in_bounded_memory(tmp_path, fmt, bound):
     # 1.2e6 rows, 3 chunks: with the whole trajectory, its time column, their record array
@@ -1471,7 +1537,7 @@ HOSTILE = st.sampled_from(["0", "-1", "-0.5", "1e300", "1e-300", "5e-324", "nan"
 
 @st.composite
 def command_lines(draw):
-    """A subcommand and a value for every key, up to three of them hostile.
+    """A subcommand and a value for every key it takes, up to three of them hostile.
 
     The other values keep an accepted run small: t_end/dt <= 2000 samples, at most
     5 modes, 3 trajectories, 50 fields of 8^d sites, 100 scan steps and 3 worker threads.
@@ -1494,12 +1560,12 @@ def command_lines(draw):
         "n_fields": st.integers(2, 50), "seed": st.integers(-1, 2 ** 64),
         "format": st.sampled_from(["csv", "json"]), "workers": st.integers(1, 3),
     }
-    values = {key: str(draw(strategy)) for key, strategy in plain.items()}
-    for key in draw(st.lists(st.sampled_from(sorted(plain)), max_size=3, unique=True)):
+    command = draw(st.sampled_from(sorted(cli._READS)))
+    values = {key: str(draw(strategy)) for key, strategy in plain.items()
+              if key in takes(command)}
+    for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True)):
         values[key] = draw(HOSTILE)
-    command = draw(st.sampled_from(["simulate", "fdr-verify", "deco-scan", "field-sample"]))
-    flags = ("--k" if key == "k_list" else "--" + key.replace("_", "-") for key in values)
-    return [command] + [f"{flag}={value}" for flag, value in zip(flags, values.values())]
+    return [command] + [f"{flag(key)}={value}" for key, value in values.items()]
 
 
 @settings(max_examples=300, deadline=None)

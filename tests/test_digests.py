@@ -50,6 +50,9 @@ RUNS = {
     "fdr-verify-golden": (["fdr-verify", *GOLDEN, "--t-end", "500", "--seed", "0"], (None,), None),
     # 1200001 samples a mode, three chunks: paired on two threads, and in turn
     "fdr-verify-long": (["fdr-verify", "--k", "1,2", "--t-end", "12000"], ("1", "2"), None),
+    # a pair, a conserved mode between them, and a last mode alone
+    "fdr-verify-odd-pairs": (["fdr-verify", "--k", "1,0,2,3", "--t-end", "400", "--seed", "3"],
+                             ("1", "2"), None),
     "fdr-verify-noise-scale": (["fdr-verify", "--k", "1", "--t-end", "400", "--seed", "2",
                                 "--noise-scale", "2"], (None,), None),
     "fdr-verify-n-traj": (["fdr-verify", "--k", "1", "--t-end", "200", "--n-traj", "8"],

@@ -18,6 +18,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,7 +184,20 @@ COLD = {
     "unknown-config-key": (["simulate"], "k_list=1\nbogus_key=1\n"),
     "unknown-method": (["simulate", "--method", "bogus"], None),
     "unparsable-value": (["simulate", "--dt", "not-a-number"], None),
+    "unread-key": (["deco-scan", "--k", "1", "--dt", "5"], None),
 }
+
+
+def importtime(argv: list[str]) -> tuple:
+    """Run python -X importtime on argv; its exit code, stdout, stderr without the
+    "import time:" lines, and the modules those lines name."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          env=environ(), capture_output=True, text=True, timeout=120)
+    lines = proc.stderr.splitlines(True)
+    modules = [line.rsplit("|", 1)[-1].strip() for line in lines
+               if line.startswith("import time:")]
+    stderr = "".join(line for line in lines if not line.startswith("import time:"))
+    return proc.returncode, proc.stdout, stderr, modules
 
 
 @pytest.mark.parametrize("name", COLD)
@@ -195,25 +209,33 @@ def test_help_and_config_errors_load_no_numpy(tmp_path, monkeypatch, name):
     from thermodeco.cli import main
 
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage at the terminal's width
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "thermodeco.cli", *argv],
-                          env=environ(), capture_output=True, text=True, timeout=120)
-    # -X importtime writes one "import time:" line per module; the rest is the command's
-    lines = proc.stderr.splitlines(True)
-    modules = [line.rsplit("|", 1)[-1].strip() for line in lines
-               if line.startswith("import time:")]
-    stderr = "".join(line for line in lines if not line.startswith("import time:"))
+    *printed, modules = importtime(["-m", "thermodeco.cli", *argv])
     assert "argparse" in modules
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
     # the imported module's main, numpy loaded, prints the same bytes
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert (proc.returncode, proc.stdout, stderr) == (code, out.getvalue(), err.getvalue())
+    assert tuple(printed) == (code, out.getvalue(), err.getvalue())
     if argv[-1] == "--help":
         assert code == 0 and out.getvalue().startswith(f"usage: thermodeco {argv[0]} ")
     else:
         assert code == 2 and err.getvalue().startswith("config error: ")
         assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
+
+
+def test_the_installed_script_parses_before_numpy_loads(monkeypatch):
+    # pyproject.toml's thermodeco script, called as an installed console script calls it
+    match = re.search(r'^thermodeco = "([\w.]+):(\w+)"$',
+                      (SRC.parent / "pyproject.toml").read_text(), re.M)
+    module, function = match.groups()
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    monkeypatch.setenv("COLUMNS", "80")
+    *printed, modules = importtime(["-c", script, "simulate", "--help"])
+    assert "argparse" in modules
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    assert printed[0] == 0 and printed[1].startswith("usage: thermodeco simulate ")
+    assert tuple(printed) == importtime(["-m", "thermodeco.cli", "simulate", "--help"])[:3]
 
 
 TRACED = SRC.parent / "perfbench" / "traced.py"
