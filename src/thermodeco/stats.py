@@ -74,16 +74,20 @@ class StreamStats:
     def add(self, x: np.ndarray, lags: bool = True):
         """Append the writable 1-d float64 array x, overwriting it with its deviations
         x - mean(x): they are formed in place, so a chunk needs no second array.  ValueError,
-        with x unchanged, if an entry is not finite."""
+        with x unchanged, if an entry is not finite.
+
+        A non-finite entry makes the mean inf or nan, so the entries are checked one by one
+        only when the mean is not finite: a finite chunk costs no bool array of its size, and
+        one whose sum overflows is still accepted."""
         if not x.size:
             return
-        if not np.isfinite(x).all():
+        mean = float(x.mean())
+        if not math.isfinite(mean) and not np.isfinite(x).all():
             raise ValueError("history contains non-finite entries")
         if lags:
             self.sum_sq += _dot(x, x)
             self.lag1 += self._last * float(x[0]) + _dot(x[:-1], x[1:])
             self._last = float(x[-1])
-        mean = float(x.mean())
         x -= mean
         n = self.n + x.size
         delta = mean - self.mean

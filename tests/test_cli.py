@@ -380,13 +380,16 @@ UNREAD = [(command, key) for command in cli._READS for key in SETTINGS
           if key not in takes(command)]
 
 
-@pytest.mark.parametrize("how", ["flag", "config"])
+# each unread key as a flag or a config-file line, with its SETTINGS value or with "x", which
+# only a str key parses: the key is checked before its value
+@pytest.mark.parametrize("how", ["flag", "config", "flag-unparsable", "config-unparsable"])
 @pytest.mark.parametrize("command, key", UNREAD)
 def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key, how):
     assert len(UNREAD) == 4 * len(SETTINGS) - 57
+    value = "x" if how.endswith("-unparsable") else SETTINGS[key]
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"{key}={SETTINGS[key]}\n")
-    argv = ["--config", str(cfgfile)] if how == "config" else [flag(key), SETTINGS[key]]
+    cfgfile.write_text(f"{key}={value}\n")
+    argv = ["--config", str(cfgfile)] if how.startswith("config") else [flag(key), value]
     out = tmp_path / "o"
     assert main([command, *argv, "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"config error: {command} does not read {key}\n")

@@ -2,7 +2,8 @@
 
 Each run in RUNS goes through cli.main in process.  Its exit code and the SHA-256 of its
 stdout, of its stderr and of every file it writes under --out must equal the ones pinned in
-digests.json; a run listed at several --workers counts must give them at each.  The free-disk
+digests.json; a run listed at several --workers counts must give them at each, and a run
+listed in CHUNKS streams its histories in chunks of that many samples.  The free-disk
 message is pinned up to its free byte count, which depends on the machine.  The digests
 hold for the numpy and scipy versions pinned beside them.
 
@@ -20,9 +21,11 @@ import sys
 import tempfile
 from importlib.metadata import version
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
+from thermodeco import langevin
 from thermodeco.cli import main
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -81,7 +84,13 @@ RUNS = {
     "field-sample-help": (["field-sample", "--help"], (None,), None),
     "unknown-command": (["bogus"], (None,), None),
     "flag-without-value": (["simulate", "--k"], (None,), None),
+    # 5001 samples a trajectory at CHUNKS' 1024, five chunks: each table and each estimate
+    # streamed across chunk boundaries, alone and beside the writer process
+    "simulate-chunks": (["simulate", "--k", "1,2", "--n-traj", "2", "--t-end", "50",
+                         "--seed", "11"], ("1", "2"), None),
 }
+# langevin.CHUNK for a run, where it is not the module's own
+CHUNKS = {"simulate-chunks": 1024}
 
 
 def sha256(data: bytes) -> str:
@@ -97,7 +106,8 @@ def record(name: str, workers: str | None, tmp: Path) -> dict:
         (tmp / "run.cfg").write_text(config)
         argv += ["--config", str(tmp / "run.cfg")]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            patch.object(langevin, "CHUNK", CHUNKS.get(name, langevin.CHUNK)):
         code = main(argv)
     # the free byte count, and the path after it, depend on the machine
     head, cut, _ = stderr.getvalue().partition(" more than the ")

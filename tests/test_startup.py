@@ -11,7 +11,9 @@ loads.  `python -m thermodeco.cli` loads numpy only once its arguments and
 config file have parsed: every --help and every argument or config-file error
 loads none, and prints what the imported module's main prints.  Importing
 thermodeco.cli binds every name at once, so each can be called or wrapped
-before any main.
+before any main.  Run as a module, a command flushes its output and exits
+without the interpreter's teardown, unless a flush fails: then it exits through
+sys.exit, as a command did before.
 """
 
 import ast
@@ -185,6 +187,7 @@ COLD = {
     "unknown-method": (["simulate", "--method", "bogus"], None),
     "unparsable-value": (["simulate", "--dt", "not-a-number"], None),
     "unread-key": (["deco-scan", "--k", "1", "--dt", "5"], None),
+    "unread-key-unparsable": (["deco-scan", "--k", "1"], "dt=x\n"),
 }
 
 
@@ -236,6 +239,44 @@ def test_the_installed_script_parses_before_numpy_loads(monkeypatch):
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
     assert printed[0] == 0 and printed[1].startswith("usage: thermodeco simulate ")
     assert tuple(printed) == importtime(["-m", "thermodeco.cli", "simulate", "--help"])[:3]
+
+
+# how every command ended before `python -m thermodeco.cli` skipped the interpreter's teardown
+SYS_EXIT = "import sys; from thermodeco.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def ends(argv: list[str], stdout) -> tuple:
+    """The exit code and stderr of `python -m thermodeco.cli` on argv and of SYS_EXIT on argv,
+    stdout written to the descriptor or file stdout, block-buffered as without
+    PYTHONUNBUFFERED."""
+    runs = [subprocess.run([sys.executable, *how, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                           text=True, env=environ(PYTHONUNBUFFERED=None), timeout=120)
+            for how in (["-m", "thermodeco.cli"], ["-c", SYS_EXIT])]
+    return tuple((proc.returncode, proc.stderr) for proc in runs)
+
+
+def test_a_command_flushes_stdout_to_a_file_before_it_exits(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "help.txt"
+    with open(path, "w") as fh:
+        assert ends(["simulate", "--help"], fh) == ((0, ""), (0, ""))
+    usage = path.read_text()
+    assert usage.startswith("usage: thermodeco simulate ")
+    # the help once from each run, the second appended after the first
+    assert usage[: len(usage) // 2] == usage[len(usage) // 2 :]
+
+
+def test_a_closed_stdout_pipe_ends_as_under_sys_exit():
+    # the help stays in stdout's buffer until the exit, whose flush fails: the fallback to
+    # sys.exit reports it and exits as the interpreter does
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        from_module, from_sys_exit = ends(["simulate", "--help"], write)
+    finally:
+        os.close(write)
+    assert from_module == from_sys_exit
+    assert from_module[0] == 120 and "BrokenPipeError" in from_module[1]
 
 
 TRACED = SRC.parent / "perfbench" / "traced.py"

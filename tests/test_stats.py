@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,9 +89,33 @@ def test_stream_stats_pool_moments_and_refuse_non_finite():
     assert stats.moments().variance == pytest.approx(np.var(both, ddof=1), rel=1e-12)
     assert stats.moments().mean == pytest.approx(both.mean(), rel=1e-12)
     assert stats.sum_sq == pytest.approx(np.dot(a, a), rel=1e-12)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="history contains non-finite entries"):
-            StreamStats().add(np.array([1.0, bad, 2.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for lags in (True, False):
+            x = np.array([1.0, bad, 2.0])
+            with pytest.raises(ValueError, match="history contains non-finite entries"):
+                StreamStats().add(x, lags=lags)
+            assert x.tobytes() == np.array([1.0, bad, 2.0]).tobytes()  # x is left as it was
+    # finite entries whose sum overflows are accepted, each sum as the arithmetic gives it:
+    # sum_sq overflows to inf, lag1 and m2 meet inf - inf
+    stats = StreamStats()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        stats.add(np.array([1e308, 1e308, -1e308]))
+    assert (stats.n, stats.sum_sq) == (3, math.inf)
+    assert math.isnan(stats.lag1) and math.isnan(stats.m2)
+
+
+def test_stream_stats_add_holds_no_chunk_sized_temporary():
+    # a 2^19-sample chunk, as langevin.CHUNK streams it; a bool array of its size is x.nbytes / 8
+    x = np.random.default_rng(5).normal(size=2 ** 19)
+    StreamStats().add(x[:16].copy())  # first-use set-up, not counted below
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        StreamStats().add(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < x.nbytes / 8
 
 
 @pytest.mark.parametrize("chunks", [
